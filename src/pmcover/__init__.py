@@ -31,7 +31,6 @@ from .coverings import (
     OddCoverResult,
     TauResult,
     analyze_graph,
-    check_conjectures,
     covering_multiplicities,
     covering_number,
     double_covering,

@@ -20,7 +20,7 @@ from .coverings import (
     fulkerson_covering,
     odd_covering_number,
 )
-from .errors import GraphError, CatalogError, CoveringError
+from .errors import GraphError, CatalogError, CoveringError, UnknownName
 from .generators import (
     flower_snark,
     generalized_blanusa,
@@ -63,7 +63,7 @@ def _generate(spec: str, seed: int | None = None):
         return random_bridgeless_cubic(n, chosen)
     if name == "tau5odd":
         return tau5odd_example()
-    raise GraphError(f"unknown generator spec {spec!r}")
+    raise UnknownName(f"unknown generator spec {spec!r}")
 
 
 def _resolve(spec: str, seed: int | None = None):
@@ -77,8 +77,9 @@ def _resolve(spec: str, seed: int | None = None):
         raise GraphError(f"no graph6 line in {spec}")
     try:
         return _generate(spec, seed)
-    except (GraphError, ValueError, IndexError):
-        pass
+    except UnknownName:
+        if ":" in spec:  # never a graph6 character
+            raise
     return parse_graph6(spec)
 
 

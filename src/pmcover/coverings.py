@@ -171,20 +171,9 @@ class FRStructure:
     alternating_cycles: tuple[tuple[int, ...], ...]
 
 
-def _by_edge(masks: list[int], m: int) -> list[list[int]]:
-    lists: list[list[int]] = [[] for _ in range(m)]
-    for i, mask in enumerate(masks):
-        bits = mask
-        while bits:
-            low = bits & -bits
-            lists[low.bit_length() - 1].append(i)
-            bits ^= low
-    return lists
-
-
 def _min_cover_exists(
-    masks: list[int],
-    by_edge: list[list[int]],
+    masks: tuple[int, ...],
+    by_edge: tuple[tuple[int, ...], ...],
     uncovered: int,
     slots: int,
     lo: int,
@@ -230,8 +219,8 @@ def _min_cover_exists(
 
 
 def _lex_cover(
-    masks: list[int],
-    by_edge: list[list[int]],
+    masks: tuple[int, ...],
+    by_edge: tuple[tuple[int, ...], ...],
     full: int,
     k: int,
     half: int,
@@ -277,14 +266,10 @@ def covering_number(
     if cap < 3:
         raise InvalidParams("cap must be at least 3")
     ticker = _Ticker(deadline)
-    masks = catalog.masks()
+    masks, by_edge = catalog.masks, catalog.by_edge
     full = (1 << g.m) - 1
-    union = 0
-    for mask in masks:
-        union |= mask
-    if union != full:
+    if catalog.union != full:
         return TauResult("infeasible", cap)
-    by_edge = _by_edge(masks, g.m)
     half = g.n // 2
     for k in range(3, cap + 1):
         if _min_cover_exists(masks, by_edge, full, k, 0, 0, half, ticker):
@@ -304,10 +289,10 @@ def find_k_covering(
     check_catalog(g, catalog)
     if k < 3:
         raise InvalidParams("k must be at least 3")
-    ticker = _Ticker(deadline)
-    masks = catalog.masks()
     full = (1 << g.m) - 1
-    chosen = _lex_cover(masks, _by_edge(masks, g.m), full, k, g.n // 2, ticker)
+    chosen = _lex_cover(
+        catalog.masks, catalog.by_edge, full, k, g.n // 2, _Ticker(deadline)
+    )
     if chosen is None:
         return None
     return Covering.from_indices(catalog, chosen, CoveringKind.PLAIN)
@@ -321,15 +306,12 @@ def has_k_covering(
 ) -> bool:
     """Existence probe for a plain covering of size k (no witness)."""
     check_catalog(g, catalog)
-    masks = catalog.masks()
     full = (1 << g.m) - 1
-    union = 0
-    for mask in masks:
-        union |= mask
-    if union != full:
+    if catalog.union != full:
         return False
     return _min_cover_exists(
-        masks, _by_edge(masks, g.m), full, k, 0, 0, g.n // 2, _Ticker(deadline)
+        catalog.masks, catalog.by_edge, full, k, 0, 0, g.n // 2,
+        _Ticker(deadline),
     )
 
 
@@ -356,7 +338,7 @@ def find_fr_triples(
     catalog: PMCatalog, limit: int | None = None
 ) -> list[tuple[int, int, int]]:
     """Index triples with empty three-way intersection, in lex order."""
-    masks = catalog.masks()
+    masks = catalog.masks
     out: list[tuple[int, int, int]] = []
     count = len(masks)
     for i in range(count):
@@ -375,7 +357,7 @@ def fr_structure(
 ) -> FRStructure:
     """T0/T1/T2 partition of an FR-triple, with its alternating even cycles."""
     check_catalog(g, catalog)
-    m1, m2, m3 = (catalog.masks()[i] for i in triple)
+    m1, m2, m3 = (catalog.masks[i] for i in triple)
     if m1 & m2 & m3:
         raise NotFRTriple("matchings have a common edge")
     full = (1 << g.m) - 1
@@ -430,13 +412,17 @@ def _trace_alternating_cycles(
     return tuple(cycles)
 
 
+# Counting the minimum odd coverings visits every subset of that size
+# instead of stopping at the first witness, so it is done only up to here.
+ODD_COUNT_MAX_SIZE = 7
+ODD_COUNT_MAX_CATALOG = 64
+
+
 def odd_covering_number(
     g: CubicGraph,
     catalog: PMCatalog,
     cap: int = 7,
     deadline: float | None = None,
-    count_size_limit: int = 7,
-    count_catalog_limit: int = 64,
 ) -> OddCoverResult:
     """Minimum size of a set of distinct matchings covering each edge oddly.
 
@@ -444,11 +430,12 @@ def odd_covering_number(
     all-ones vector lies in the span of the matching incidence vectors.  The
     search then scans odd sizes; a subset qualifies iff the XOR of its
     members equals all-ones.  The number of minimum-size odd coverings is
-    reported when the instance is small enough (size and catalog limits).
+    reported when the instance is small enough (``ODD_COUNT_MAX_SIZE`` and
+    ``ODD_COUNT_MAX_CATALOG``).
     """
     check_catalog(g, catalog)
     ticker = _Ticker(deadline)
-    masks = catalog.masks()
+    masks = catalog.masks
     full = (1 << g.m) - 1
     if not gf2_in_span(masks, full):
         return OddCoverResult("none_exists", cap)
@@ -457,7 +444,7 @@ def odd_covering_number(
     for size in range(3, cap + 1, 2):
         if size > count:
             break
-        counting = size <= count_size_limit and count <= count_catalog_limit
+        counting = size <= ODD_COUNT_MAX_SIZE and count <= ODD_COUNT_MAX_CATALOG
         witness, found = _odd_subsets(
             masks, index_of, full, size, counting, ticker
         )
@@ -470,7 +457,7 @@ def odd_covering_number(
 
 
 def _odd_subsets(
-    masks: list[int],
+    masks: tuple[int, ...],
     index_of: dict[int, int],
     target: int,
     size: int,
@@ -562,56 +549,46 @@ def fulkerson_covering(
     """
     check_catalog(g, catalog)
     ticker = _Ticker(deadline)
-    masks = catalog.masks()
+    masks = catalog.masks
     count = len(masks)
     m = g.m
+    full = (1 << m) - 1
     half = g.n // 2
-    # suffix_avail[e][i] = how many members with index >= i contain edge e
-    suffix = [[0] * (count + 1) for _ in range(m)]
+    # reach[i] = the edges lying in some member with index >= i
+    reach = [0] * (count + 1)
     for i in range(count - 1, -1, -1):
-        mask = masks[i]
-        for e in range(m):
-            suffix[e][i] = suffix[e][i + 1] + ((mask >> e) & 1)
+        reach[i] = reach[i + 1] | masks[i]
 
-    mult = [0] * m
     chosen: list[int] = []
 
-    def dfs(lo: int, slots: int, saturated: int, deficit_total: int) -> bool:
+    def dfs(
+        lo: int, slots: int, once: int, saturated: int, deficit_total: int
+    ) -> bool:
+        """`once`/`saturated`: the edges the chosen members cover once/twice."""
         if slots == 0:
             return deficit_total == 0
         if deficit_total > slots * half:
             return False
         ticker.tick()
-        for e in range(m):
-            if mult[e] < 2 and 2 * suffix[e][lo] < 2 - mult[e]:
-                return False
+        # an edge not yet covered twice that no remaining member contains
+        if full & ~saturated & ~reach[lo]:
+            return False
         for cand in range(lo, count):
-            if masks[cand] & saturated:
+            mask = masks[cand]
+            if mask & saturated:
                 continue
             if chosen.count(cand) >= 2:
                 continue
-            new_sat = saturated
-            bits = masks[cand]
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                e = low.bit_length() - 1
-                mult[e] += 1
-                if mult[e] == 2:
-                    new_sat |= low
             chosen.append(cand)
-            if dfs(cand, slots - 1, new_sat, deficit_total - half):
+            if dfs(
+                cand, slots - 1, once ^ mask, saturated | (once & mask),
+                deficit_total - half,
+            ):
                 return True
             chosen.pop()
-            bits = masks[cand]
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                mult[low.bit_length() - 1] -= 1
-            prev = cand
         return False
 
-    if dfs(0, 6, 0, 2 * m):
+    if dfs(0, 6, 0, 0, 2 * m):
         return Covering.from_indices(catalog, chosen, CoveringKind.FULKERSON)
     return None
 
@@ -652,59 +629,6 @@ def reduce_odd_covering(cov: Covering) -> Covering:
     return Covering.from_matchings(
         cov.graph, [EdgeSet(cov.graph.m, k) for k in keyed], CoveringKind.ODD
     )
-
-
-@dataclass(frozen=True)
-class ConjectureReport:
-    berge_5: bool
-    fulkerson: bool
-    fr_triple: bool
-    k_disjoint_intersection: int | None
-
-
-def check_conjectures(
-    g: CubicGraph,
-    catalog: PMCatalog,
-    deadline: float | None = None,
-) -> ConjectureReport:
-    """Decide the covering conjectures exactly at this instance."""
-    check_catalog(g, catalog)
-    berge = has_k_covering(g, catalog, 5, deadline)
-    fulkerson = fulkerson_covering(g, catalog, deadline) is not None
-    fr = bool(find_fr_triples(catalog, limit=1))
-    return ConjectureReport(
-        berge,
-        fulkerson,
-        fr,
-        _smallest_empty_intersection(catalog.masks(), _Ticker(deadline)),
-    )
-
-
-def _smallest_empty_intersection(
-    masks: list[int], ticker: _Ticker
-) -> int | None:
-    """Smallest k such that k distinct members have empty intersection."""
-    count = len(masks)
-    if count == 0:
-        return None
-    level = {}
-    for i, mask in enumerate(masks):
-        if mask not in level or level[mask] > i:
-            level[mask] = i
-    k = 1
-    while level and k < count:
-        nxt: dict[int, int] = {}
-        for mask, last in level.items():
-            for j in range(last + 1, count):
-                ticker.tick()
-                nm = mask & masks[j]
-                if nm == 0:
-                    return k + 1
-                if nm not in nxt or nxt[nm] > j:
-                    nxt[nm] = j
-        level = nxt
-        k += 1
-    return None
 
 
 REPORT_FIELDS = (

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CatalogMismatch, FewerThanTwoMatchings, TooManyMatchings
 from .graphs import CubicGraph, EdgeSet
@@ -13,7 +14,9 @@ class PMCatalog:
     """The complete, canonically ordered list of perfect matchings of a graph.
 
     Matchings are sorted by ascending bit pattern, so catalog indices are
-    deterministic across runs.
+    deterministic across runs.  The derived views every solver reads
+    (``masks``, ``by_edge``, ``union``) are each built at most once, on
+    first access.
     """
 
     graph: CubicGraph
@@ -23,8 +26,29 @@ class PMCatalog:
     def count(self) -> int:
         return len(self.matchings)
 
-    def masks(self) -> list[int]:
-        return [m.bits for m in self.matchings]
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        return tuple(m.bits for m in self.matchings)
+
+    @cached_property
+    def by_edge(self) -> tuple[tuple[int, ...], ...]:
+        """For each edge, the ascending indices of the members containing it."""
+        lists: list[list[int]] = [[] for _ in range(self.graph.m)]
+        for i, mask in enumerate(self.masks):
+            bits = mask
+            while bits:
+                low = bits & -bits
+                lists[low.bit_length() - 1].append(i)
+                bits ^= low
+        return tuple(map(tuple, lists))
+
+    @cached_property
+    def union(self) -> int:
+        """Bitmask of the edges lying in at least one member."""
+        bits = 0
+        for mask in self.masks:
+            bits |= mask
+        return bits
 
     def index_of(self, pm: EdgeSet) -> int:
         """Catalog index of a matching (ValueError if absent)."""
@@ -73,10 +97,7 @@ def enumerate_perfect_matchings(
 def edges_missing_from_all_pms(g: CubicGraph, catalog: PMCatalog) -> EdgeSet:
     """Complement of the union of all catalog members."""
     check_catalog(g, catalog)
-    union = 0
-    for pm in catalog.matchings:
-        union |= pm.bits
-    return EdgeSet(g.m, union ^ ((1 << g.m) - 1))
+    return EdgeSet(g.m, catalog.union ^ ((1 << g.m) - 1))
 
 
 @dataclass(frozen=True)
@@ -93,7 +114,7 @@ def pm_pair_stats(catalog: PMCatalog) -> PairStats:
     """Exact pair extremes with lexicographically smallest witness pairs."""
     if catalog.count < 2:
         raise FewerThanTwoMatchings("need at least two perfect matchings")
-    masks = catalog.masks()
+    masks = catalog.masks
     best_int = None
     best_int_pair = (0, 1)
     best_uni = -1

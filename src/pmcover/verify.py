@@ -85,7 +85,7 @@ def criterion_1_petersen() -> list[CheckResult]:
         and set(fulk.multiplicities()) == {2},
     )
     odd = odd_covering_number(g, cat, cap=7)
-    masks = cat.masks()
+    masks = cat.masks
     full = (1 << g.m) - 1
     exhaustive_none = not any(
         _xor(masks, sub) == full
@@ -108,7 +108,7 @@ def criterion_1_petersen() -> list[CheckResult]:
     return s.results
 
 
-def _xor(masks: list[int], indices) -> int:
+def _xor(masks: tuple[int, ...], indices) -> int:
     acc = 0
     for i in indices:
         acc ^= masks[i]
@@ -201,7 +201,7 @@ def criterion_5_example_graph() -> list[CheckResult]:
         odd.count_minimum == 64 and math.comb(cat.count, 7) == 77520,
         f"count={odd.count_minimum}",
     )
-    masks = cat.masks()
+    masks = cat.masks
     full = (1 << g.m) - 1
     no_size_5 = not any(
         _xor(masks, sub) == full for sub in combinations(range(20), 5)
@@ -348,7 +348,7 @@ def criterion_8_oracles(seed: int = 20260809) -> list[CheckResult]:
         if cat.count > 200:
             cover_ok = False
             continue
-        masks = cat.masks()
+        masks = cat.masks
         full = (1 << g.m) - 1
         for k in (3, 4):
             exists = any(
@@ -371,7 +371,7 @@ def criterion_8_oracles(seed: int = 20260809) -> list[CheckResult]:
         if cat.count > 25:
             odd_ok = False
             continue
-        masks = cat.masks()
+        masks = cat.masks
         full = (1 << g.m) - 1
         exhaustive = _subset_xor_reaches(masks, full)
         if exhaustive != gf2_in_span(masks, full):
@@ -380,18 +380,17 @@ def criterion_8_oracles(seed: int = 20260809) -> list[CheckResult]:
     return s.results
 
 
-def _union(masks: list[int], indices) -> int:
+def _union(masks: tuple[int, ...], indices) -> int:
     acc = 0
     for i in indices:
         acc |= masks[i]
     return acc
 
 
-def _subset_xor_reaches(masks: list[int], target: int) -> bool:
+def _subset_xor_reaches(masks: tuple[int, ...], target: int) -> bool:
     """Meet-in-the-middle search over all subsets for XOR == target."""
     half = len(masks) // 2
     left, right = masks[:half], masks[half:]
-    seen = set()
     acc_all = [0]
     for mask in left:
         acc_all += [a ^ mask for a in acc_all]

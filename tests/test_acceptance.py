@@ -1,11 +1,13 @@
 """Acceptance suite: every quantitative target, exact integer equality.
 
 Each test prints one pass/fail line per check (visible with pytest -s or on
-failure) and enforces its wall-clock budget; the same checks back the CLI's
-verify-paper command.
+failure), compares those lines with ``verify_paper_lines.json`` and enforces
+its wall-clock budget; the same checks back the CLI's verify-paper command.
 """
 
+import json
 import time
+from pathlib import Path
 
 from pmcover.verify import (
     criterion_1_petersen,
@@ -19,6 +21,13 @@ from pmcover.verify import (
 )
 
 
+# The verify-paper lines of each criterion, details included (tau values,
+# counts, the tau=4 instances and Petersen hits of the property suites).
+GOLDEN = json.loads(
+    (Path(__file__).parent / "verify_paper_lines.json").read_text()
+)
+
+
 def _report(make_results, budget_s):
     start = time.monotonic()
     results = make_results()
@@ -27,6 +36,7 @@ def _report(make_results, budget_s):
         print(result.line())
     failed = [r for r in results if not r.ok]
     assert not failed, "failed checks: " + ", ".join(r.name for r in failed)
+    assert [r.line() for r in results] == GOLDEN[make_results.__name__]
     assert elapsed < budget_s, f"budget {budget_s}s exceeded: {elapsed:.1f}s"
 
 

@@ -236,3 +236,13 @@ def test_analyze_handles_multigraph_generator_spec(capsys):
     assert data["metrics"]["n"] == 2
     assert data["metrics"]["tau"] == 3
     assert data["metrics"]["pm_count"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(("analyze", "flower:4"), "must be odd"),
+     (("tau", "random:7"), "n must be even")],
+)
+def test_generator_spec_errors_are_reported(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and message in err

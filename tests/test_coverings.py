@@ -29,7 +29,6 @@ from pmcover.coverings import (
     Covering,
     CoveringKind,
     analyze_graph,
-    check_conjectures,
     covering_multiplicities,
     covering_number,
     double_covering,
@@ -80,7 +79,7 @@ class TestCoveringNumber:
         res = covering_number(g, cat, cap=6)
         assert res.witness.members == (0, 1, 2, 3, 4)
         # any five of the six matchings cover, so this really is the minimum
-        masks = cat.masks()
+        masks = cat.masks
         full = (1 << g.m) - 1
         for sub in combinations(range(6), 5):
             acc = 0
@@ -96,7 +95,7 @@ class TestCoveringNumber:
     def test_matches_exhaustive_subset_search(self):
         for graph in (petersen(), k33(), prism(5), blanusa(2), flower_snark(3)):
             g, cat = catalog_of(graph)
-            masks = cat.masks()
+            masks = cat.masks
             full = (1 << g.m) - 1
             for k in (3, 4):
                 exists = any(
@@ -224,7 +223,7 @@ class TestOddCoverings:
         g, cat = catalog_of(petersen())
         res = odd_covering_number(g, cat, cap=7)
         assert res.status == "none_exists"
-        assert not gf2_in_span(cat.masks(), (1 << g.m) - 1)
+        assert not gf2_in_span(cat.masks, (1 << g.m) - 1)
 
     def test_k4_size_3(self):
         g, cat = catalog_of(k4())
@@ -253,7 +252,7 @@ class TestOddCoverings:
         # to the size, so odd coverings have odd size; verify exhaustively
         for graph in (k4(), k33(), petersen(), prism(4)):
             g, cat = catalog_of(graph)
-            masks = cat.masks()
+            masks = cat.masks
             full = (1 << g.m) - 1
             for size in (2, 4):
                 for sub in combinations(range(cat.count), size):
@@ -278,7 +277,7 @@ class TestOddCoverings:
             cat = enumerate_perfect_matchings(g)
             if not (1 <= cat.count <= 25):
                 continue
-            masks = cat.masks()
+            masks = cat.masks
             full = (1 << g.m) - 1
             sub_exists = _subset_xor_exists(masks, full)
             assert sub_exists == gf2_in_span(masks, full)
@@ -386,23 +385,26 @@ class TestReduceOddCovering:
             reduce_odd_covering(cov)
 
 
-class TestConjectureReport:
+class TestConjectureFields:
+    """berge5, fulkerson and fr_triple of the report, plus the least k with k
+    matchings of empty intersection: 2 iff b == 0, else 3 iff fr_triple."""
+
     def test_petersen(self):
-        g, cat = catalog_of(petersen())
-        report = check_conjectures(g, cat)
-        assert report.berge_5 and report.fulkerson and report.fr_triple
-        assert report.k_disjoint_intersection == 3
+        metrics, status = analyze_graph(petersen())
+        assert status == "ok"
+        assert metrics["berge5"] and metrics["fulkerson"] and metrics["fr_triple"]
+        assert metrics["b"] >= 1  # no two disjoint matchings: k = 3
 
     def test_k4(self):
-        g, cat = catalog_of(k4())
-        report = check_conjectures(g, cat)
-        assert report.berge_5 and report.fulkerson and report.fr_triple
-        assert report.k_disjoint_intersection == 2
+        metrics, status = analyze_graph(k4())
+        assert status == "ok"
+        assert metrics["berge5"] and metrics["fulkerson"] and metrics["fr_triple"]
+        assert metrics["b"] == 0  # two disjoint matchings: k = 2
 
     def test_blanusa(self):
-        g, cat = catalog_of(blanusa(1))
-        report = check_conjectures(g, cat)
-        assert report.berge_5 and report.fr_triple
+        metrics, status = analyze_graph(blanusa(1))
+        assert status == "ok"
+        assert metrics["berge5"] and metrics["fr_triple"]
 
 
 class TestAnalyze:
@@ -531,7 +533,7 @@ class TestWitnessDeterminism:
         for graph in (petersen(), k33(), blanusa(2), flower_snark(3)):
             g, cat = catalog_of(graph)
             res = covering_number(g, cat, cap=6)
-            masks = cat.masks()
+            masks = cat.masks
             full = (1 << g.m) - 1
             best = None
             for sub in combinations(range(cat.count), res.tau):
@@ -544,7 +546,7 @@ class TestWitnessDeterminism:
         for graph in (k4(), blanusa(1), tau5odd_example()):
             g, cat = catalog_of(graph)
             res = odd_covering_number(g, cat, cap=7)
-            masks = cat.masks()
+            masks = cat.masks
             full = (1 << g.m) - 1
             best = None
             for sub in combinations(range(cat.count), res.size):
@@ -559,21 +561,23 @@ class TestWitnessDeterminism:
     def test_fulkerson_witness_lex_minimal_on_small_catalogs(self):
         from itertools import combinations_with_replacement
 
-        for graph in (k4(), petersen(), k33()):
+        graphs = [k4(), petersen(), k33(), prism(4), prism(5), flower_snark(3),
+                  theta()]
+        graphs += [random_bridgeless_cubic(10, seed) for seed in range(6)]
+        for graph in graphs:
             g, cat = catalog_of(graph)
+            assert cat.count <= 11
             found = fulkerson_covering(g, cat)
-            masks = cat.masks()
             best = None
             for sub in combinations_with_replacement(range(cat.count), 6):
                 counts = [0] * g.m
-                ok = True
                 for i in sub:
                     for e in cat.matchings[i]:
                         counts[e] += 1
                 if all(c == 2 for c in counts):
                     best = sub
                     break
-            assert found.members == best
+            assert (found.members if found else None) == best
 
     def test_repeated_runs_identical(self):
         g, cat = catalog_of(blanusa(1))
@@ -589,7 +593,7 @@ def test_odd_covering_size_is_exact_minimum():
     for graph in (k4(), blanusa(1), blanusa(2), tau5odd_example()):
         g, cat = catalog_of(graph)
         res = odd_covering_number(g, cat, cap=7)
-        masks = cat.masks()
+        masks = cat.masks
         full = (1 << g.m) - 1
         for smaller in range(1, res.size):
             assert not any(
@@ -649,11 +653,12 @@ def test_reduce_strips_duplicates_from_padded_five_covering():
 
 
 def test_example_graph_satisfies_fan_raspaud_with_k_3():
-    g, cat = catalog_of(tau5odd_example())
-    report = check_conjectures(g, cat)
-    # two disjoint matchings would 3-edge-color the graph, impossible here
-    assert report.k_disjoint_intersection == 3
-    assert report.berge_5 and report.fulkerson and report.fr_triple
+    metrics, status = analyze_graph(tau5odd_example())
+    assert status == "ok"
+    # two disjoint matchings would 3-edge-color the graph, impossible here,
+    # so b >= 1 and an FR triple makes 3 the least k of empty intersection
+    assert metrics["b"] >= 1 and metrics["fr_triple"]
+    assert metrics["berge5"] and metrics["fulkerson"]
 
 
 def test_tau_3_iff_three_edge_colorable_on_random_graphs():
@@ -680,7 +685,7 @@ def test_find_k_covering_is_lex_smallest():
     for graph, k in ((k33(), 4), (blanusa(1), 5), (petersen(), 5)):
         g, cat = catalog_of(graph)
         cov = find_k_covering(g, cat, k)
-        masks = cat.masks()
+        masks = cat.masks
         full = (1 << g.m) - 1
         expect = next(
             sub

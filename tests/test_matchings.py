@@ -89,6 +89,29 @@ def test_bridged_graph_misses_edges():
                 assert e in missing
 
 
+def test_catalog_views_match_the_matchings_and_are_built_once():
+    rng = random.Random(5)
+    graphs = [bridged_double_k4()]
+    graphs += [random_cubic_any(n, rng) for n in (8, 10, 12) for _ in range(3)]
+    for g in graphs:
+        cat = enumerate_perfect_matchings(g)
+        assert cat.masks == tuple(pm.bits for pm in cat.matchings)
+        for e in range(g.m):
+            expect = [i for i, pm in enumerate(cat.matchings) if e in pm]
+            assert list(cat.by_edge[e]) == expect
+        union = 0
+        for mask in cat.masks:
+            union |= mask
+        assert cat.union == union
+        missing = edges_missing_from_all_pms(g, cat)
+        assert cat.union == missing.bits ^ ((1 << g.m) - 1)
+        assert cat.masks is cat.masks
+        assert cat.by_edge is cat.by_edge
+        assert cat.union is cat.union
+    bridged = enumerate_perfect_matchings(bridged_double_k4())
+    assert any(not members for members in bridged.by_edge)
+
+
 def test_pair_stats_petersen():
     stats = pm_pair_stats(enumerate_perfect_matchings(petersen()))
     assert stats.min_intersection == 1
