@@ -20,7 +20,7 @@ from .coverings import (
     fulkerson_covering,
     odd_covering_number,
 )
-from .errors import GraphError, CatalogError, CoveringError, UnknownName
+from .errors import GraphError, CatalogError, CoveringError, InvalidParams, UnknownName
 from .generators import (
     flower_snark,
     generalized_blanusa,
@@ -44,22 +44,30 @@ def _generate(spec: str, seed: int | None = None):
             raise GraphError(f"generator {name!r} needs more parameters")
         return args[i]
 
+    def num(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise InvalidParams(
+                f"generator {name!r}: parameter {text!r} is not an integer"
+            ) from None
+
     if name in ("petersen", "k4", "k33", "theta", "blanusa1", "blanusa2"):
         return named_graph(name)
     if name == "prism":
-        return named_graph("prism", int(param(0)))
+        return named_graph("prism", num(param(0)))
     if name == "flower":
-        return flower_snark(int(param(0)))
+        return flower_snark(num(param(0)))
     if name == "goldberg":
-        return goldberg_graph(int(param(0)))
+        return goldberg_graph(num(param(0)))
     if name == "gblanusa":
-        return generalized_blanusa(int(param(0)), int(param(1)))
+        return generalized_blanusa(num(param(0)), num(param(1)))
     if name == "perm":
-        sigma = [int(x) for x in param(0).split(",")]
+        sigma = [num(x) for x in param(0).split(",")]
         return permutation_graph(sigma)
     if name == "random":
-        n = int(param(0))
-        chosen = int(args[1]) if len(args) > 1 else (seed if seed is not None else 0)
+        n = num(param(0))
+        chosen = num(args[1]) if len(args) > 1 else (seed if seed is not None else 0)
         return random_bridgeless_cubic(n, chosen)
     if name == "tau5odd":
         return tau5odd_example()

@@ -108,12 +108,6 @@ class Covering:
                 counts[e] += 1
         return tuple(counts)
 
-    def union(self) -> EdgeSet:
-        bits = 0
-        for pm in self.matchings:
-            bits |= pm.bits
-        return EdgeSet(self.graph.m, bits)
-
     def validate(self) -> None:
         for pm in self.matchings:
             if not is_perfect_matching(self.graph, pm):
@@ -551,9 +545,7 @@ def fulkerson_covering(
     ticker = _Ticker(deadline)
     masks = catalog.masks
     count = len(masks)
-    m = g.m
-    full = (1 << m) - 1
-    half = g.n // 2
+    full = (1 << g.m) - 1
     # reach[i] = the edges lying in some member with index >= i
     reach = [0] * (count + 1)
     for i in range(count - 1, -1, -1):
@@ -561,14 +553,15 @@ def fulkerson_covering(
 
     chosen: list[int] = []
 
-    def dfs(
-        lo: int, slots: int, once: int, saturated: int, deficit_total: int
-    ) -> bool:
-        """`once`/`saturated`: the edges the chosen members cover once/twice."""
+    def dfs(lo: int, slots: int, once: int, saturated: int) -> bool:
+        """`once`/`saturated`: the edges the chosen members cover once/twice.
+
+        Six members that cover no edge three times fill 6n/2 = 2m edge
+        slots, so a full pick covers every edge exactly twice.  A member
+        picked twice is saturated, so the mask test also caps reuse at two.
+        """
         if slots == 0:
-            return deficit_total == 0
-        if deficit_total > slots * half:
-            return False
+            return True
         ticker.tick()
         # an edge not yet covered twice that no remaining member contains
         if full & ~saturated & ~reach[lo]:
@@ -577,18 +570,13 @@ def fulkerson_covering(
             mask = masks[cand]
             if mask & saturated:
                 continue
-            if chosen.count(cand) >= 2:
-                continue
             chosen.append(cand)
-            if dfs(
-                cand, slots - 1, once ^ mask, saturated | (once & mask),
-                deficit_total - half,
-            ):
+            if dfs(cand, slots - 1, once ^ mask, saturated | (once & mask)):
                 return True
             chosen.pop()
         return False
 
-    if dfs(0, 6, 0, 0, 2 * m):
+    if dfs(0, 6, 0, 0):
         return Covering.from_indices(catalog, chosen, CoveringKind.FULKERSON)
     return None
 

@@ -17,10 +17,6 @@ def gf2_basis(rows: Iterable[int]) -> list[int]:
     return basis
 
 
-def gf2_rank(rows: Iterable[int]) -> int:
-    return len(gf2_basis(rows))
-
-
 def gf2_reduce(vec: int, basis: list[int]) -> int:
     for b in basis:
         vec = min(vec, vec ^ b)

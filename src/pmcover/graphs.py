@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     BadEdgeIndex,
@@ -42,6 +42,9 @@ class EdgeSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("EdgeSet is immutable")
+
+    def __reduce__(self):
+        return (EdgeSet, (self.width, self.bits))
 
     @classmethod
     def from_indices(cls, width: int, indices: Iterable[int]) -> "EdgeSet":
@@ -154,6 +157,9 @@ class CubicGraph:
     def __setattr__(self, name, value):
         raise AttributeError("CubicGraph is immutable")
 
+    def __reduce__(self):
+        return (CubicGraph, (self.n, self.edges, self.principal_cuts))
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -198,9 +204,6 @@ class CubicGraph:
 
     def empty_edge_set(self) -> EdgeSet:
         return EdgeSet(self.m, 0)
-
-    def full_edge_set(self) -> EdgeSet:
-        return EdgeSet(self.m, (1 << self.m) - 1)
 
     def edge_set(self, indices: Iterable[int]) -> EdgeSet:
         return EdgeSet.from_indices(self.m, indices)
@@ -257,9 +260,6 @@ class TwoFactor:
     def even_cycle_ids(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.cycles)) if not self.is_odd(i))
 
-    def cycle_edge_set(self, i: int) -> EdgeSet:
-        return self.graph.edge_set(self.cycle_edges[i])
-
     def all_cycle_edges(self) -> EdgeSet:
         bits = 0
         for es in self.cycle_edges:
@@ -313,11 +313,18 @@ def two_factor_of(g: CubicGraph, pm: EdgeSet) -> TwoFactor:
     return TwoFactor(g, pm, tuple(cycles), tuple(cycle_edges))
 
 
-def find_bridges(g: CubicGraph) -> EdgeSet:
-    """All cut edges, via one DFS with lowpoint tracking (multigraph aware)."""
+def _bridge_sides(g: CubicGraph, removed: int = 0) -> list[tuple[int, int]]:
+    """(bridge, vertices on its far side) for every cut edge of g - `removed`.
+
+    One DFS with lowpoint tracking and subtree sizes, restarted at every
+    unvisited vertex; the far side of a bridge is the DFS subtree below it.
+    Only the tree edge itself is skipped on the way back, so parallel edges
+    are never bridges.  `removed` is a bitmask of edges to ignore.
+    """
     disc = [-1] * g.n
     low = [0] * g.n
-    bridges = 0
+    size = [1] * g.n
+    sides: list[tuple[int, int]] = []
     timer = 0
     for root in range(g.n):
         if disc[root] != -1:
@@ -331,65 +338,53 @@ def find_bridges(g: CubicGraph) -> EdgeSet:
             if ptr < DEGREE:
                 stack.append((v, via, ptr + 1))
                 e = g.incidence[v][ptr]
-                if e == via:
+                if e == via or (removed >> e) & 1:
                     continue
                 w = g.other_end(e, v)
                 if disc[w] == -1:
                     stack.append((w, e, 0))
                 else:
                     low[v] = min(low[v], disc[w])
-            else:
-                if via != -1:
-                    u = g.other_end(via, v)
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        bridges |= 1 << via
-    return EdgeSet(g.m, bridges)
+            elif via != -1:
+                u = g.other_end(via, v)
+                low[u] = min(low[u], low[v])
+                size[u] += size[v]
+                if low[v] > disc[u]:
+                    sides.append((via, size[v]))
+    return sides
 
 
-def _components_with_cycle(g: CubicGraph, removed: int) -> int:
-    """Number of components containing a cycle once `removed` edges are gone."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edge_count = [0] * g.n
-    for e, (u, v) in enumerate(g.edges):
-        if (removed >> e) & 1:
-            continue
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    for e, (u, v) in enumerate(g.edges):
-        if (removed >> e) & 1:
-            continue
-        edge_count[find(u)] += 1
-    size = [0] * g.n
-    for v in range(g.n):
-        size[find(v)] += 1
-    return sum(1 for v in range(g.n) if parent[v] == v and edge_count[v] >= size[v])
+def find_bridges(g: CubicGraph) -> EdgeSet:
+    """All cut edges, via one lowpoint DFS (multigraph aware)."""
+    return g.edge_set(e for e, _ in _bridge_sides(g))
 
 
 def cyclic_connectivity_at_least(g: CubicGraph, k: int) -> bool:
     """True iff no cut of fewer than k edges separates two cycle-bearing parts.
 
-    Exhaustive over all edge subsets of size < k (intended for k <= 4).
+    A connected side S of a c-edge cut spans (3|S| - c)/2 edges, so it holds a
+    cycle exactly when |S| >= c.  Level s = 0..k-2 deletes each s-subset F of
+    edges and looks for a bridge of G - F with at least s+1 vertices on both
+    sides: both sides of that cut (at most s+1 < k edges, inside F plus the
+    bridge) hold a cycle.  A smallest cyclic cut of c < k edges is found at
+    level c-1, where its last edge is a bridge.
     """
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
     if not g.is_connected():
         raise Disconnected("cyclic connectivity needs a connected graph")
-    for s in range(1, k):
+    for s in range(k - 1):
         for subset in combinations(range(g.m), s):
             removed = 0
             for e in subset:
                 removed |= 1 << e
-            if _components_with_cycle(g, removed) >= 2:
-                return False
+            # n - side is the near side only if G - F is connected.  It is at
+            # every level reached: a set of s <= 2 edges disconnecting G holds
+            # a cut of c <= 2 edges, and both sides of such a cut hold a cycle
+            # (|S| = c mod 2 and |S| >= 1), so level c-1 already returned False.
+            for _, side in _bridge_sides(g, removed):
+                if min(side, g.n - side) > s:
+                    return False
     return True
 
 
@@ -412,38 +407,38 @@ def is_bipartite(g: CubicGraph) -> bool:
     return True
 
 
-def _component_vertices(g: CubicGraph, start: int) -> list[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for e in g.incidence[v]:
-            w = g.other_end(e, v)
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return sorted(seen)
-
-
-def _bfs_order(g: CubicGraph, comp: Sequence[int]) -> list[tuple[int, int]]:
-    """(vertex, bfs-parent) pairs covering comp; parent -1 for the root."""
-    order = [(comp[0], -1)]
-    seen = {comp[0]}
-    qi = 0
-    while qi < len(order):
-        v = order[qi][0]
-        qi += 1
-        for e in g.incidence[v]:
-            w = g.other_end(e, v)
-            if w not in seen:
-                seen.add(w)
-                order.append((w, v))
+def _bfs_order(g: CubicGraph) -> list[tuple[int, int]]:
+    """(vertex, bfs-parent) pairs over a BFS forest of g; parent -1 for roots."""
+    order: list[tuple[int, int]] = []
+    seen = [False] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        qi = len(order)
+        order.append((root, -1))
+        while qi < len(order):
+            v = order[qi][0]
+            qi += 1
+            for e in g.incidence[v]:
+                w = g.other_end(e, v)
+                if not seen[w]:
+                    seen[w] = True
+                    order.append((w, v))
     return order
 
 
-def _isomorphic_connected(g: CubicGraph, h: CubicGraph) -> bool:
+def is_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:
+    """Exact isomorphism test by backtracking (intended for n <= 24).
+
+    Vertices of g are mapped in BFS-forest order: a tree child goes to an
+    unused neighbour of its parent's image, a root to any unused vertex, and
+    every step checks edge multiplicities against all vertices mapped so far.
+    """
+    if g.n != h.n or g.m != h.m:
+        return False
     ga, ha = g.adjacency_counts(), h.adjacency_counts()
-    order = _bfs_order(g, list(range(g.n)))
+    order = _bfs_order(g)
     mapping = [-1] * g.n
     used = [False] * h.n
 
@@ -475,50 +470,3 @@ def _isomorphic_connected(g: CubicGraph, h: CubicGraph) -> bool:
         return False
 
     return extend(0)
-
-
-def is_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:
-    """Exact isomorphism test by backtracking (intended for n <= 24)."""
-    if g.n != h.n or g.m != h.m:
-        return False
-    if g.is_connected() != h.is_connected():
-        return False
-    if g.is_connected():
-        return _isomorphic_connected(g, h)
-    # disconnected: split into components and match them up by backtracking
-    g_comps = _split_components(g)
-    h_comps = _split_components(h)
-    if sorted(c.n for c in g_comps) != sorted(c.n for c in h_comps):
-        return False
-    remaining = list(h_comps)
-
-    def match(i: int) -> bool:
-        if i == len(g_comps):
-            return True
-        for j, hc in enumerate(remaining):
-            if hc is not None and _isomorphic_connected(g_comps[i], hc):
-                remaining[j] = None
-                if match(i + 1):
-                    return True
-                remaining[j] = hc
-        return False
-
-    return match(0)
-
-
-def _split_components(g: CubicGraph) -> list[CubicGraph]:
-    out = []
-    seen: set[int] = set()
-    for v in range(g.n):
-        if v in seen:
-            continue
-        comp = _component_vertices(g, v)
-        seen.update(comp)
-        relabel = {old: new for new, old in enumerate(comp)}
-        edges = [
-            (relabel[a], relabel[b])
-            for a, b in g.edges
-            if a in relabel and b in relabel
-        ]
-        out.append(CubicGraph(len(comp), edges))
-    return out

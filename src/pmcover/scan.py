@@ -125,16 +125,21 @@ def run_scan(
     """Analyze every graph6 line, appending JSONL records; resumable.
 
     Lines whose canonical graph6 id already appears in the output are
-    skipped; per-graph failures become error records and never abort the
-    scan.  With jobs > 1 graphs are analyzed in parallel but records are
-    written in input order.
+    skipped; an unterminated last output line is dropped and its graph
+    analyzed again.  Per-graph failures become error records and never
+    abort the scan.  With jobs > 1 graphs are analyzed in parallel but
+    records are written in input order.
     """
     output_path = Path(output_path)
     done: set[str] = set()
     if output_path.exists():
-        with open(output_path, "r", encoding="ascii") as fh:
+        with open(output_path, "r+b") as fh:
             for line in fh:
-                if line.strip():
+                if not line.endswith(b"\n"):
+                    # a killed writer left this last record unfinished: cut
+                    # it off, so that graph is analysed again
+                    fh.truncate(fh.tell() - len(line))
+                elif line.strip():
                     done.add(ScanRecord.from_json(line).graph_id)
     summary = ScanSummary()
     pending: list[str] = []

@@ -123,6 +123,22 @@ def test_scan_and_resume(tmp_path, capsys):
     assert len(out_file.read_text().splitlines()) == 2
 
 
+def test_scan_resume_redoes_an_unterminated_last_line(tmp_path):
+    graphs = [petersen(), prism(4), prism(3)]
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+    out_file = tmp_path / "records.jsonl"
+    run_scan(corpus, out_file, timeout_s=None)
+    text = out_file.read_text()
+    last_start = text.rstrip("\n").rfind("\n") + 1
+    out_file.write_text(text[: last_start + 10])  # killed mid-record
+
+    again = run_scan(corpus, out_file, timeout_s=None)
+    assert again.processed == 1 and again.skipped == 2
+    ids = [json.loads(line)["graph_id"] for line in out_file.read_text().splitlines()]
+    assert sorted(ids) == sorted(to_graph6(g) for g in graphs)
+
+
 def test_scan_error_lines_do_not_abort(tmp_path):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("!!notgraph6!!\n" + to_graph6(prism(3)) + "\n")
@@ -241,7 +257,9 @@ def test_analyze_handles_multigraph_generator_spec(capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [(("analyze", "flower:4"), "must be odd"),
-     (("tau", "random:7"), "n must be even")],
+     (("tau", "random:7"), "n must be even"),
+     (("analyze", "prism:abc"), "generator 'prism': parameter 'abc'"),
+     (("analyze", "perm:1,x,0"), "generator 'perm': parameter 'x'")],
 )
 def test_generator_spec_errors_are_reported(capsys, argv, message):
     code, _, err = run(capsys, *argv)

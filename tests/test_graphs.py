@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from itertools import combinations
 
 import pytest
 
@@ -43,6 +46,53 @@ def random_cubic_any(n, rng):
         if any(u == v for u, v in pairs) or len(set(pairs)) != len(pairs):
             continue
         return CubicGraph(n, pairs)
+
+
+def random_cubic_multigraph(n, rng):
+    """Random connected cubic multigraph: parallel edges allowed, no loops."""
+    stubs = [v for v in range(n) for _ in range(3)]
+    while True:
+        rng.shuffle(stubs)
+        pairs = [(stubs[i], stubs[i + 1]) for i in range(0, 3 * n, 2)]
+        if any(u == v for u, v in pairs):
+            continue
+        g = CubicGraph(n, pairs)
+        if g.is_connected():
+            return g
+
+
+def components(g, removed=0):
+    """(vertex count, edge count) of each component of g minus the edges in
+    the `removed` bitmask, by union-find."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    kept = [uv for e, uv in enumerate(g.edges) if not (removed >> e) & 1]
+    for u, v in kept:
+        parent[find(u)] = find(v)
+    verts, edges = {}, {}
+    for v in range(g.n):
+        verts[find(v)] = verts.get(find(v), 0) + 1
+    for u, _ in kept:
+        edges[find(u)] = edges.get(find(u), 0) + 1
+    return [(size, edges.get(root, 0)) for root, size in verts.items()]
+
+
+def naive_cyclic_connectivity_at_least(g, k):
+    """The definition: no set of fewer than k edges leaves two components
+    that each hold a cycle (a component holds one iff edges >= vertices)."""
+    for s in range(1, k):
+        for subset in combinations(range(g.m), s):
+            removed = sum(1 << e for e in subset)
+            parts = components(g, removed)
+            if sum(1 for size, edges in parts if edges >= size) >= 2:
+                return False
+    return True
 
 
 class TestEdgeSet:
@@ -179,23 +229,9 @@ class TestBridges:
 
     def test_against_naive_oracle(self):
         def oracle(g):
-            def n_components(skip):
-                parent = list(range(g.n))
-
-                def find(x):
-                    while parent[x] != x:
-                        parent[x] = parent[parent[x]]
-                        x = parent[x]
-                    return x
-
-                for e, (u, v) in enumerate(g.edges):
-                    if e != skip:
-                        parent[find(u)] = find(v)
-                return len({find(v) for v in range(g.n)})
-
-            base = n_components(-1)
+            base = len(components(g))
             return g.edge_set(
-                e for e in range(g.m) if n_components(e) > base
+                e for e in range(g.m) if len(components(g, 1 << e)) > base
             )
 
         rng = random.Random(99)
@@ -219,6 +255,43 @@ class TestCyclicConnectivity:
         g = two_cut_join(petersen(), 0, petersen(), 0)
         assert not cyclic_connectivity_at_least(g, 3)
         assert cyclic_connectivity_at_least(g, 2)
+
+    def test_against_naive_oracle(self):
+        from pmcover.compositions import (
+            tau5odd_example,
+            three_cut_join,
+            two_cut_join,
+        )
+        from pmcover.generators import random_bridgeless_cubic
+
+        rng = random.Random(2024)
+        graphs = [k4(), theta(), petersen(), bridged_double_k4(), tau5odd_example()]
+        graphs += [random_bridgeless_cubic(n, seed)
+                   for n in (6, 8, 10, 12, 14) for seed in range(14)]
+        graphs += [g for g in (random_cubic_any((8, 10, 12)[i % 3], rng)
+                               for i in range(60)) if g.is_connected()]
+        graphs += [random_cubic_multigraph((2, 4, 6, 8, 10)[i % 5], rng)
+                   for i in range(60)]
+        blocks = [k4(), k33(), prism(3), prism(4), theta(), petersen()]
+        for g1 in blocks:
+            for g2 in blocks:
+                graphs.append(two_cut_join(g1, g1.m - 1, g2, 0))
+                graphs.append(three_cut_join(g1, 0, g2, g2.n - 1))
+        assert len(graphs) >= 200
+        outcomes = set()
+        for g in graphs:
+            for k in (1, 2, 3, 4):
+                want = naive_cyclic_connectivity_at_least(g, k)
+                assert cyclic_connectivity_at_least(g, k) == want, (g.edges, k)
+                outcomes.add((k, want))
+        assert outcomes == {(1, True)} | {
+            (k, want) for k in (2, 3, 4) for want in (True, False)
+        }
+
+    def test_k_out_of_range(self):
+        for k in (0, 5):
+            with pytest.raises(ValueError):
+                cyclic_connectivity_at_least(petersen(), k)
 
     def test_disconnected_raises(self):
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
@@ -261,6 +334,37 @@ class TestIsomorphism:
         assert is_isomorphic(theta(), theta())
         doubled = CubicGraph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)])
         assert not is_isomorphic(doubled, k4())
+
+    def test_disconnected_graphs(self):
+        def union(*parts):
+            edges, off = [], 0
+            for g in parts:
+                edges += [(u + off, v + off) for u, v in g.edges]
+                off += g.n
+            return CubicGraph(off, edges)
+
+        two_k4 = union(k4(), k4())
+        perm = [5, 2, 7, 0, 4, 1, 6, 3]
+        relabeled = CubicGraph(8, [(perm[u], perm[v]) for u, v in two_k4.edges])
+        assert is_isomorphic(two_k4, relabeled)
+        assert is_isomorphic(union(theta(), k33()), union(k33(), theta()))
+        assert not is_isomorphic(union(prism(3), theta()), union(k33(), theta()))
+        assert not is_isomorphic(two_k4, prism(4))
+        assert not is_isomorphic(prism(4), two_k4)
+
+
+class TestPickling:
+    def test_composition_graph_and_edge_set_round_trip(self):
+        from pmcover.compositions import tau5odd_example
+
+        g = tau5odd_example()
+        cut = g.principal_cuts[0]
+        for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+            h = copy_of(g)
+            assert h == g and h.principal_cuts == g.principal_cuts
+            assert h.incidence == g.incidence
+            assert h.adjacency_counts() == g.adjacency_counts()
+            assert copy_of(cut) == cut and list(copy_of(cut)) == list(cut)
 
 
 def test_is_perfect_matching_rejects_wrong_sizes():
