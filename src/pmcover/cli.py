@@ -35,14 +35,28 @@ from .scan import run_scan
 from .verify import run_all
 
 
+# the fewest and the most parameters each generator takes; random's
+# optional second parameter is its seed
+_PARAM_COUNTS = {
+    "petersen": (0, 0), "k4": (0, 0), "k33": (0, 0), "theta": (0, 0),
+    "blanusa1": (0, 0), "blanusa2": (0, 0), "tau5odd": (0, 0),
+    "prism": (1, 1), "flower": (1, 1), "goldberg": (1, 1), "perm": (1, 1),
+    "gblanusa": (2, 2), "random": (1, 2),
+}
+
+
 def _generate(spec: str, seed: int | None = None):
     name, _, rest = spec.partition(":")
     args = [p for p in rest.split(":") if p] if rest else []
-
-    def param(i: int) -> str:
-        if i >= len(args):
-            raise GraphError(f"generator {name!r} needs more parameters")
-        return args[i]
+    if name not in _PARAM_COUNTS:
+        raise UnknownName(f"unknown generator spec {spec!r}")
+    least, most = _PARAM_COUNTS[name]
+    if not least <= len(args) <= most:
+        takes = most if least == most else f"{least} to {most}"
+        raise InvalidParams(
+            f"generator {name!r} takes {takes} "
+            f"parameter{'' if most == 1 else 's'}, got {len(args)}"
+        )
 
     def num(text: str) -> int:
         try:
@@ -55,23 +69,21 @@ def _generate(spec: str, seed: int | None = None):
     if name in ("petersen", "k4", "k33", "theta", "blanusa1", "blanusa2"):
         return named_graph(name)
     if name == "prism":
-        return named_graph("prism", num(param(0)))
+        return named_graph("prism", num(args[0]))
     if name == "flower":
-        return flower_snark(num(param(0)))
+        return flower_snark(num(args[0]))
     if name == "goldberg":
-        return goldberg_graph(num(param(0)))
+        return goldberg_graph(num(args[0]))
     if name == "gblanusa":
-        return generalized_blanusa(num(param(0)), num(param(1)))
+        return generalized_blanusa(num(args[0]), num(args[1]))
     if name == "perm":
-        sigma = [num(x) for x in param(0).split(",")]
+        sigma = [num(x) for x in args[0].split(",")]
         return permutation_graph(sigma)
     if name == "random":
-        n = num(param(0))
+        n = num(args[0])
         chosen = num(args[1]) if len(args) > 1 else (seed if seed is not None else 0)
         return random_bridgeless_cubic(n, chosen)
-    if name == "tau5odd":
-        return tau5odd_example()
-    raise UnknownName(f"unknown generator spec {spec!r}")
+    return tau5odd_example()  # the only name in _PARAM_COUNTS left
 
 
 def _resolve(spec: str, seed: int | None = None):

@@ -10,7 +10,9 @@ witness by sorted catalog indices.
 
 from __future__ import annotations
 
+import signal
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,23 +46,6 @@ class CoveringKind(Enum):
     ODD = "odd"
     EVEN = "even"
     FULKERSON = "fulkerson"
-
-
-class _Ticker:
-    """Cooperative deadline checks, amortized over search nodes."""
-
-    __slots__ = ("deadline", "count")
-
-    def __init__(self, deadline: float | None):
-        self.deadline = deadline
-        self.count = 0
-
-    def tick(self) -> None:
-        if self.deadline is None:
-            return
-        self.count += 1
-        if self.count & 1023 == 0 and time.monotonic() > self.deadline:
-            raise DeadlineExceeded
 
 
 @dataclass(frozen=True)
@@ -173,7 +158,6 @@ def _min_cover_exists(
     lo: int,
     excluded: int,
     half: int,
-    ticker: _Ticker,
 ) -> bool:
     """Can <= slots distinct members with index >= lo cover `uncovered`?
 
@@ -184,7 +168,6 @@ def _min_cover_exists(
         return True
     if slots == 0 or uncovered.bit_count() > slots * half:
         return False
-    ticker.tick()
     best: list[int] | None = None
     bits = uncovered
     while bits:
@@ -205,7 +188,7 @@ def _min_cover_exists(
     ex = excluded
     for i in best:
         if _min_cover_exists(
-            masks, by_edge, uncovered & ~masks[i], slots - 1, lo, ex, half, ticker
+            masks, by_edge, uncovered & ~masks[i], slots - 1, lo, ex, half
         ):
             return True
         ex |= 1 << i
@@ -218,13 +201,12 @@ def _lex_cover(
     full: int,
     k: int,
     half: int,
-    ticker: _Ticker,
 ) -> tuple[int, ...] | None:
     """Lexicographically smallest set of k distinct members covering full."""
     count = len(masks)
     if count < k:
         return None
-    if not _min_cover_exists(masks, by_edge, full, k, 0, 0, half, ticker):
+    if not _min_cover_exists(masks, by_edge, full, k, 0, 0, half):
         return None
     chosen: list[int] = []
     uncovered = full
@@ -233,9 +215,7 @@ def _lex_cover(
         remaining = k - slot - 1
         for cand in range(lo, count - remaining):
             rest = uncovered & ~masks[cand]
-            if _min_cover_exists(
-                masks, by_edge, rest, remaining, cand + 1, 0, half, ticker
-            ):
+            if _min_cover_exists(masks, by_edge, rest, remaining, cand + 1, 0, half):
                 chosen.append(cand)
                 uncovered = rest
                 lo = cand + 1
@@ -245,12 +225,7 @@ def _lex_cover(
     return tuple(chosen)
 
 
-def covering_number(
-    g: CubicGraph,
-    catalog: PMCatalog,
-    cap: int = 6,
-    deadline: float | None = None,
-) -> TauResult:
+def covering_number(g: CubicGraph, catalog: PMCatalog, cap: int = 6) -> TauResult:
     """Exact minimum number of catalog members whose union is E(g).
 
     Returns infeasible when some edge lies in no perfect matching (bridged
@@ -259,53 +234,39 @@ def covering_number(
     check_catalog(g, catalog)
     if cap < 3:
         raise InvalidParams("cap must be at least 3")
-    ticker = _Ticker(deadline)
     masks, by_edge = catalog.masks, catalog.by_edge
     full = (1 << g.m) - 1
     if catalog.union != full:
         return TauResult("infeasible", cap)
     half = g.n // 2
     for k in range(3, cap + 1):
-        if _min_cover_exists(masks, by_edge, full, k, 0, 0, half, ticker):
-            witness_idx = _lex_cover(masks, by_edge, full, k, half, ticker)
+        witness_idx = _lex_cover(masks, by_edge, full, k, half)
+        if witness_idx is not None:
             witness = Covering.from_indices(catalog, witness_idx, CoveringKind.PLAIN)
             return TauResult("ok", cap, k, witness)
     return TauResult("exceeds", cap)
 
 
-def find_k_covering(
-    g: CubicGraph,
-    catalog: PMCatalog,
-    k: int,
-    deadline: float | None = None,
-) -> Covering | None:
+def find_k_covering(g: CubicGraph, catalog: PMCatalog, k: int) -> Covering | None:
     """Some plain covering of size exactly k (lex smallest), or None."""
     check_catalog(g, catalog)
     if k < 3:
         raise InvalidParams("k must be at least 3")
     full = (1 << g.m) - 1
-    chosen = _lex_cover(
-        catalog.masks, catalog.by_edge, full, k, g.n // 2, _Ticker(deadline)
-    )
+    chosen = _lex_cover(catalog.masks, catalog.by_edge, full, k, g.n // 2)
     if chosen is None:
         return None
     return Covering.from_indices(catalog, chosen, CoveringKind.PLAIN)
 
 
-def has_k_covering(
-    g: CubicGraph,
-    catalog: PMCatalog,
-    k: int,
-    deadline: float | None = None,
-) -> bool:
+def has_k_covering(g: CubicGraph, catalog: PMCatalog, k: int) -> bool:
     """Existence probe for a plain covering of size k (no witness)."""
     check_catalog(g, catalog)
     full = (1 << g.m) - 1
     if catalog.union != full:
         return False
     return _min_cover_exists(
-        catalog.masks, catalog.by_edge, full, k, 0, 0, g.n // 2,
-        _Ticker(deadline),
+        catalog.masks, catalog.by_edge, full, k, 0, 0, g.n // 2
     )
 
 
@@ -413,10 +374,7 @@ ODD_COUNT_MAX_CATALOG = 64
 
 
 def odd_covering_number(
-    g: CubicGraph,
-    catalog: PMCatalog,
-    cap: int = 7,
-    deadline: float | None = None,
+    g: CubicGraph, catalog: PMCatalog, cap: int = 7
 ) -> OddCoverResult:
     """Minimum size of a set of distinct matchings covering each edge oddly.
 
@@ -428,7 +386,6 @@ def odd_covering_number(
     ``ODD_COUNT_MAX_CATALOG``).
     """
     check_catalog(g, catalog)
-    ticker = _Ticker(deadline)
     masks = catalog.masks
     full = (1 << g.m) - 1
     if not gf2_in_span(masks, full):
@@ -439,9 +396,7 @@ def odd_covering_number(
         if size > count:
             break
         counting = size <= ODD_COUNT_MAX_SIZE and count <= ODD_COUNT_MAX_CATALOG
-        witness, found = _odd_subsets(
-            masks, index_of, full, size, counting, ticker
-        )
+        witness, found = _odd_subsets(masks, index_of, full, size, counting)
         if witness is not None:
             cov = Covering.from_indices(catalog, witness, CoveringKind.ODD)
             return OddCoverResult(
@@ -456,7 +411,6 @@ def _odd_subsets(
     target: int,
     size: int,
     count_all: bool,
-    ticker: _Ticker,
 ) -> tuple[tuple[int, ...] | None, int]:
     """First (lex) size-subset whose XOR equals target, plus a full count.
 
@@ -470,7 +424,6 @@ def _odd_subsets(
 
     def rec(start: int, depth: int, acc: int) -> bool:
         nonlocal witness, hits
-        ticker.tick()
         if depth == size - 1:
             last = index_of.get(acc ^ target)
             if last is not None and (not prefix or last > prefix[-1]):
@@ -530,11 +483,7 @@ def even_covering_from_four_covering(cov4: Covering) -> Covering:
     return doubled
 
 
-def fulkerson_covering(
-    g: CubicGraph,
-    catalog: PMCatalog,
-    deadline: float | None = None,
-) -> Covering | None:
+def fulkerson_covering(g: CubicGraph, catalog: PMCatalog) -> Covering | None:
     """Six members (each used at most twice) covering every edge exactly twice.
 
     Exhaustive search; ``None`` is returned only when no Fulkerson covering
@@ -542,7 +491,6 @@ def fulkerson_covering(
     conjecture for this graph.
     """
     check_catalog(g, catalog)
-    ticker = _Ticker(deadline)
     masks = catalog.masks
     count = len(masks)
     full = (1 << g.m) - 1
@@ -562,7 +510,6 @@ def fulkerson_covering(
         """
         if slots == 0:
             return True
-        ticker.tick()
         # an edge not yet covered twice that no remaining member contains
         if full & ~saturated & ~reach[lo]:
             return False
@@ -626,6 +573,35 @@ REPORT_FIELDS = (
 )
 
 
+def _expire(signum, frame):
+    raise DeadlineExceeded
+
+
+@contextmanager
+def _time_limit(deadline: float | None):
+    """Raise DeadlineExceeded inside the block once time.monotonic() > deadline.
+
+    A SIGALRM interval timer interrupts whatever runs at that moment, so a
+    deadline needs POSIX and the main thread (elsewhere ``signal.signal``
+    raises ValueError).  Without a deadline no signal is touched.
+    """
+    if deadline is None:
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _expire)
+    try:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise DeadlineExceeded
+        signal.setitimer(signal.ITIMER_REAL, remaining)
+        yield
+    finally:
+        try:  # the alarm may still fire here; restore the handler regardless
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+
+
 def analyze_graph(
     g: CubicGraph,
     cap: int = 6,
@@ -636,43 +612,48 @@ def analyze_graph(
     """Full per-graph report as a JSON-ready dict, plus a status string.
 
     Status is "ok", "infeasible" (some edge lies in no perfect matching) or
-    "timeout"; fields not reached before a timeout stay None, never guessed.
+    "timeout".  The ``deadline`` (a ``time.monotonic()`` value) bounds every
+    phase, PM enumeration and cyclic connectivity included; it is enforced
+    by SIGALRM, so it works on POSIX in the main thread only and raises
+    ValueError in any other thread.  A timeout keeps the fields finished
+    before it; the rest stay None, never guessed.
     """
     metrics: dict = {key: None for key in REPORT_FIELDS}
     metrics["n"], metrics["m"] = g.n, g.m
     metrics["tau_cap"] = cap
     status = "ok"
     try:
-        metrics["bridges"] = len(find_bridges(g))
-        if g.is_connected():
-            metrics["cyclically4ec"] = cyclic_connectivity_at_least(g, 4)
-        catalog = enumerate_perfect_matchings(g, max_matchings)
-        metrics["pm_count"] = catalog.count
-        if catalog.count >= 2:
-            stats = pm_pair_stats(catalog)
-            metrics["b"] = stats.min_intersection
-            metrics["max_two_pm_union"] = stats.max_union
-        tau = covering_number(g, catalog, cap, deadline)
-        if tau.status == "infeasible":
-            status = "infeasible"
-        elif tau.status == "ok":
-            metrics["tau"] = tau.tau
-        odd = odd_covering_number(g, catalog, odd_cap, deadline)
-        if odd.status == "ok":
-            metrics["tau_odd"] = odd.size
-            metrics["tau_odd_count"] = odd.count_minimum
-        elif odd.status == "none_exists":
-            metrics["tau_odd_count"] = 0
-        if status == "infeasible":
-            metrics["berge5"] = False
-        elif metrics["tau"] is not None:
-            metrics["berge5"] = metrics["tau"] <= 5
-        elif cap >= 5:
-            metrics["berge5"] = False
-        else:
-            metrics["berge5"] = has_k_covering(g, catalog, 5, deadline)
-        metrics["fr_triple"] = bool(find_fr_triples(catalog, limit=1))
-        metrics["fulkerson"] = fulkerson_covering(g, catalog, deadline) is not None
+        with _time_limit(deadline):
+            metrics["bridges"] = len(find_bridges(g))
+            if g.is_connected():
+                metrics["cyclically4ec"] = cyclic_connectivity_at_least(g, 4)
+            catalog = enumerate_perfect_matchings(g, max_matchings)
+            metrics["pm_count"] = catalog.count
+            if catalog.count >= 2:
+                stats = pm_pair_stats(catalog)
+                metrics["b"] = stats.min_intersection
+                metrics["max_two_pm_union"] = stats.max_union
+            tau = covering_number(g, catalog, cap)
+            if tau.status == "infeasible":
+                status = "infeasible"
+            elif tau.status == "ok":
+                metrics["tau"] = tau.tau
+            odd = odd_covering_number(g, catalog, odd_cap)
+            if odd.status == "ok":
+                metrics["tau_odd"] = odd.size
+                metrics["tau_odd_count"] = odd.count_minimum
+            elif odd.status == "none_exists":
+                metrics["tau_odd_count"] = 0
+            if status == "infeasible":
+                metrics["berge5"] = False
+            elif metrics["tau"] is not None:
+                metrics["berge5"] = metrics["tau"] <= 5
+            elif cap >= 5:
+                metrics["berge5"] = False
+            else:
+                metrics["berge5"] = has_k_covering(g, catalog, 5)
+            metrics["fr_triple"] = bool(find_fr_triples(catalog, limit=1))
+            metrics["fulkerson"] = fulkerson_covering(g, catalog) is not None
     except DeadlineExceeded:
         status = "timeout"
     return metrics, status

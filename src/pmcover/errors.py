@@ -110,4 +110,4 @@ class InvalidFamily(CertificateError):
 
 
 class DeadlineExceeded(Exception):
-    """Cooperative per-graph time limit hit during a search."""
+    """The per-graph deadline of ``analyze_graph`` passed."""

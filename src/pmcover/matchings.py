@@ -111,26 +111,24 @@ class PairStats:
 
 
 def pm_pair_stats(catalog: PMCatalog) -> PairStats:
-    """Exact pair extremes with lexicographically smallest witness pairs."""
+    """Exact pair extremes with lexicographically smallest witness pairs.
+
+    Every perfect matching has n/2 edges, so |Mi ∪ Mj| = n - |Mi ∩ Mj|:
+    the pair of least intersection is also the pair of largest union.
+    """
     if catalog.count < 2:
         raise FewerThanTwoMatchings("need at least two perfect matchings")
     masks = catalog.masks
-    best_int = None
-    best_int_pair = (0, 1)
-    best_uni = -1
-    best_uni_pair = (0, 1)
+    best = catalog.graph.n  # above any intersection, which has <= n/2 edges
+    best_pair = (0, 1)
     for i in range(len(masks)):
         mi = masks[i]
         for j in range(i + 1, len(masks)):
             inter = (mi & masks[j]).bit_count()
-            if best_int is None or inter < best_int:
-                best_int = inter
-                best_int_pair = (i, j)
-            uni = (mi | masks[j]).bit_count()
-            if uni > best_uni:
-                best_uni = uni
-                best_uni_pair = (i, j)
-    return PairStats(best_int, best_int_pair, best_uni, best_uni_pair)
+            if inter < best:
+                best = inter
+                best_pair = (i, j)
+    return PairStats(best, best_pair, catalog.graph.n - best, best_pair)
 
 
 def matching_line(g: CubicGraph, pm: EdgeSet) -> str:

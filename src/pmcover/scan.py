@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -127,20 +128,26 @@ def run_scan(
     Lines whose canonical graph6 id already appears in the output are
     skipped; an unterminated last output line is dropped and its graph
     analyzed again.  Per-graph failures become error records and never
-    abort the scan.  With jobs > 1 graphs are analyzed in parallel but
-    records are written in input order.
+    abort the scan.  Each record is written and flushed as soon as it and
+    every record before it are done, in input order, also with jobs > 1.
     """
     output_path = Path(output_path)
     done: set[str] = set()
     if output_path.exists():
         with open(output_path, "r+b") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 if not line.endswith(b"\n"):
                     # a killed writer left this last record unfinished: cut
                     # it off, so that graph is analysed again
                     fh.truncate(fh.tell() - len(line))
                 elif line.strip():
-                    done.add(ScanRecord.from_json(line).graph_id)
+                    try:
+                        done.add(ScanRecord.from_json(line).graph_id)
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise ValueError(
+                            f"{output_path}, line {number}: "
+                            f"not a scan record ({exc})"
+                        ) from None
     summary = ScanSummary()
     pending: list[str] = []
     for line in iter_graph6_file(input_path):
@@ -155,15 +162,15 @@ def run_scan(
         pending.append(line)
 
     payloads = [(line, cap, odd_cap, timeout_s, max_matchings) for line in pending]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_scan_one, payloads))
-    else:
-        records = [_scan_one(p) for p in payloads]
-
-    with open(output_path, "a", encoding="ascii") as fh:
+    with open(output_path, "a", encoding="ascii") as fh, ExitStack() as stack:
+        records = map(_scan_one, payloads)
+        if jobs > 1:
+            pool = ProcessPoolExecutor(max_workers=jobs)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            records = pool.map(_scan_one, payloads)
         for record in records:
             fh.write(record.to_json() + "\n")
+            fh.flush()
             _tally(summary, record, cap)
     return summary
 

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from pmcover.cli import main
-from pmcover.generators import petersen, prism
+import pmcover.scan
+from pmcover.generators import petersen, prism, random_bridgeless_cubic
 from pmcover.graph6 import parse_graph6, to_graph6
 from pmcover.scan import ScanRecord, run_scan
 
@@ -235,6 +236,60 @@ def test_scan_timeout_produces_timeout_record(tmp_path):
     assert record.metrics["fulkerson"] is None
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_timeout_bounds_pm_enumeration(tmp_path, jobs):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(to_graph6(random_bridgeless_cubic(56, 3)) + "\n")
+    out_file = tmp_path / "r.jsonl"
+    run_scan(corpus, out_file, timeout_s=1.0, jobs=jobs)
+    record = ScanRecord.from_json(out_file.read_text().strip())
+    assert record.status == "timeout" and record.elapsed_ms <= 2000
+    assert record.metrics["pm_count"] is None
+
+
+def test_scan_writes_each_record_before_the_next_graph(tmp_path, monkeypatch):
+    graphs = [petersen(), prism(3), prism(4), prism(5)]
+    ids = [to_graph6(g) for g in graphs]
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("".join(gid + "\n" for gid in ids))
+    out_file = tmp_path / "r.jsonl"
+    real, analyzed = pmcover.scan.analyze_graph, []
+
+    def interrupted_at_third(g, **kwargs):
+        if len(analyzed) == 2:
+            raise KeyboardInterrupt
+        analyzed.append(to_graph6(g))
+        return real(g, **kwargs)
+
+    monkeypatch.setattr(pmcover.scan, "analyze_graph", interrupted_at_third)
+    with pytest.raises(KeyboardInterrupt):
+        run_scan(corpus, out_file, timeout_s=None)
+    lines = out_file.read_text().splitlines()
+    assert [ScanRecord.from_json(line).graph_id for line in lines] == ids[:2]
+
+    def recording(g, **kwargs):
+        analyzed.append(to_graph6(g))
+        return real(g, **kwargs)
+
+    analyzed.clear()
+    monkeypatch.setattr(pmcover.scan, "analyze_graph", recording)
+    summary = run_scan(corpus, out_file, timeout_s=None)
+    assert analyzed == ids[2:]
+    assert summary.processed == 2 and summary.skipped == 2
+
+
+def test_scan_resume_names_the_file_and_line_of_a_bad_record(tmp_path, capsys):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(to_graph6(petersen()) + "\n")
+    out_file = tmp_path / "r.jsonl"
+    run_scan(corpus, out_file, timeout_s=None)
+    with open(out_file, "a", encoding="ascii") as fh:
+        fh.write("garbage\n")
+    code, _, err = run(capsys, "scan", str(corpus), str(out_file))
+    assert code == 2
+    assert f"{out_file}, line 2: not a scan record" in err
+
+
 def test_fulkerson_not_found_exits_1(tmp_path, capsys):
     from test_matchings import matching_free_cubic
 
@@ -259,7 +314,10 @@ def test_analyze_handles_multigraph_generator_spec(capsys):
     [(("analyze", "flower:4"), "must be odd"),
      (("tau", "random:7"), "n must be even"),
      (("analyze", "prism:abc"), "generator 'prism': parameter 'abc'"),
-     (("analyze", "perm:1,x,0"), "generator 'perm': parameter 'x'")],
+     (("analyze", "perm:1,x,0"), "generator 'perm': parameter 'x'"),
+     (("tau", "prism:4:9"), "generator 'prism' takes 1 parameter, got 2"),
+     (("tau", "random:10:1:5"), "generator 'random' takes 1 to 2 parameters, got 3"),
+     (("analyze", "petersen:3"), "generator 'petersen' takes 0 parameters, got 1")],
 )
 def test_generator_spec_errors_are_reported(capsys, argv, message):
     code, _, err = run(capsys, *argv)

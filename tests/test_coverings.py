@@ -1,4 +1,7 @@
 import math
+import signal
+import threading
+import time
 from itertools import combinations
 
 import pytest
@@ -432,6 +435,40 @@ class TestAnalyze:
         assert status == "timeout"
         assert metrics["n"] == 20
         assert metrics["fulkerson"] is None
+
+    def test_deadline_bounds_pm_enumeration(self):
+        # 5829 perfect matchings: enumerating them alone takes about 30 s
+        start = time.monotonic()
+        metrics, status = analyze_graph(
+            random_bridgeless_cubic(56, 3), deadline=start + 1.0
+        )
+        assert status == "timeout"
+        assert time.monotonic() - start <= 2.0
+        assert metrics["bridges"] == 0  # finished before the timeout: kept
+        assert metrics["pm_count"] is None
+
+    def test_deadline_restores_the_alarm_handler_and_timer(self):
+        before = signal.getsignal(signal.SIGALRM)
+        for deadline in (time.monotonic() + 10, time.monotonic() - 1):
+            analyze_graph(petersen(), deadline=deadline)
+            assert signal.getsignal(signal.SIGALRM) is before
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    def test_deadline_needs_the_main_thread(self):
+        outcome = {}
+
+        def worker():
+            try:
+                analyze_graph(petersen(), deadline=time.monotonic() + 10)
+            except ValueError as exc:
+                outcome["error"] = exc
+            outcome["status"] = analyze_graph(petersen())[1]
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        assert isinstance(outcome.get("error"), ValueError)
+        assert outcome["status"] == "ok"
 
     def test_has_k_covering_probe(self):
         g, cat = catalog_of(petersen())
