@@ -215,25 +215,31 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    seed = args.seed
-    if args.operator == "two-cut":
-        g = two_cut_join(
-            _resolve(args.specs[0], seed), int(args.specs[1]),
-            _resolve(args.specs[2], seed), int(args.specs[3]),
+    op, specs = args.operator, args.specs
+    want = 8 if op == "k4" else 4
+    if len(specs) != want:
+        raise InvalidParams(
+            f"compose {op} takes {want // 2} graph/index pairs "
+            f"({want} arguments), got {len(specs)}"
         )
-    elif args.operator == "three-cut":
-        g = three_cut_join(
-            _resolve(args.specs[0], seed), int(args.specs[1]),
-            _resolve(args.specs[2], seed), int(args.specs[3]),
-        )
+
+    def index(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise InvalidParams(
+                f"compose {op}: index {text!r} is not an integer"
+            ) from None
+
+    pairs = [
+        (_resolve(specs[i], args.seed), index(specs[i + 1]))
+        for i in range(0, want, 2)
+    ]
+    if op == "k4":
+        g = k4_composition(pairs)
     else:
-        if len(args.specs) != 8:
-            raise GraphError("k4 composition needs four graph/vertex pairs")
-        blocks = [
-            (_resolve(args.specs[2 * i], seed), int(args.specs[2 * i + 1]))
-            for i in range(4)
-        ]
-        g = k4_composition(blocks)
+        join = two_cut_join if op == "two-cut" else three_cut_join
+        g = join(*pairs[0], *pairs[1])
     _emit(g, args.g6)
     return 0
 

@@ -583,11 +583,15 @@ def _time_limit(deadline: float | None):
 
     A SIGALRM interval timer interrupts whatever runs at that moment, so a
     deadline needs POSIX and the main thread (elsewhere ``signal.signal``
-    raises ValueError).  Without a deadline no signal is touched.
+    raises ValueError), and it refuses with ValueError while the caller's own
+    interval timer is armed, which it would cancel.  Without a deadline no
+    signal is touched.
     """
     if deadline is None:
         yield
         return
+    if signal.getitimer(signal.ITIMER_REAL)[0] > 0:
+        raise ValueError("a deadline needs the real interval timer, which is armed")
     previous = signal.signal(signal.SIGALRM, _expire)
     try:
         remaining = deadline - time.monotonic()
@@ -615,8 +619,9 @@ def analyze_graph(
     "timeout".  The ``deadline`` (a ``time.monotonic()`` value) bounds every
     phase, PM enumeration and cyclic connectivity included; it is enforced
     by SIGALRM, so it works on POSIX in the main thread only and raises
-    ValueError in any other thread.  A timeout keeps the fields finished
-    before it; the rest stay None, never guessed.
+    ValueError in any other thread or while the caller's own real interval
+    timer is armed.  A timeout keeps the fields finished before it; the rest
+    stay None, never guessed.
     """
     metrics: dict = {key: None for key in REPORT_FIELDS}
     metrics["n"], metrics["m"] = g.n, g.m

@@ -9,6 +9,11 @@ be shared freely between threads.
 
 Edge subsets (matchings, cuts, cycle edge sets) are ``EdgeSet`` values: a
 fixed-width bit vector over edge indices backed by a plain int.
+
+Every traversal walks one BFS forest (``_bfs_forest``): connectivity counts
+its roots, bipartiteness is its depth parity, isomorphism maps vertices in its
+order, and bridges and cyclic connectivity read cuts off the cycle-space
+signatures of its edges (``_cut_signatures``).
 """
 
 from __future__ import annotations
@@ -209,16 +214,7 @@ class CubicGraph:
         return EdgeSet.from_indices(self.m, indices)
 
     def is_connected(self) -> bool:
-        seen = 1
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for e in self.incidence[v]:
-                w = self.other_end(e, v)
-                if not (seen >> w) & 1:
-                    seen |= 1 << w
-                    stack.append(w)
-        return seen == (1 << self.n) - 1
+        return sum(via == -1 for _, via in _bfs_forest(self)) == 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -313,119 +309,96 @@ def two_factor_of(g: CubicGraph, pm: EdgeSet) -> TwoFactor:
     return TwoFactor(g, pm, tuple(cycles), tuple(cycle_edges))
 
 
-def _bridge_sides(g: CubicGraph, removed: int = 0) -> list[tuple[int, int]]:
-    """(bridge, vertices on its far side) for every cut edge of g - `removed`.
+def _bfs_forest(g: CubicGraph) -> Iterator[tuple[int, int]]:
+    """(vertex, edge to its parent) over a BFS forest of g, parents first.
 
-    One DFS with lowpoint tracking and subtree sizes, restarted at every
-    unvisited vertex; the far side of a bridge is the DFS subtree below it.
-    Only the tree edge itself is skipped on the way back, so parallel edges
-    are never bridges.  `removed` is a bitmask of edges to ignore.
+    Each component is rooted at its smallest vertex, whose edge is -1; the
+    number of roots is the number of components.
     """
-    disc = [-1] * g.n
-    low = [0] * g.n
-    size = [1] * g.n
-    sides: list[tuple[int, int]] = []
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # vertex, via edge, ptr
-        while stack:
-            v, via, ptr = stack.pop()
-            if ptr == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            if ptr < DEGREE:
-                stack.append((v, via, ptr + 1))
-                e = g.incidence[v][ptr]
-                if e == via or (removed >> e) & 1:
-                    continue
-                w = g.other_end(e, v)
-                if disc[w] == -1:
-                    stack.append((w, e, 0))
-                else:
-                    low[v] = min(low[v], disc[w])
-            elif via != -1:
-                u = g.other_end(via, v)
-                low[u] = min(low[u], low[v])
-                size[u] += size[v]
-                if low[v] > disc[u]:
-                    sides.append((via, size[v]))
-    return sides
-
-
-def find_bridges(g: CubicGraph) -> EdgeSet:
-    """All cut edges, via one lowpoint DFS (multigraph aware)."""
-    return g.edge_set(e for e, _ in _bridge_sides(g))
-
-
-def cyclic_connectivity_at_least(g: CubicGraph, k: int) -> bool:
-    """True iff no cut of fewer than k edges separates two cycle-bearing parts.
-
-    A connected side S of a c-edge cut spans (3|S| - c)/2 edges, so it holds a
-    cycle exactly when |S| >= c.  Level s = 0..k-2 deletes each s-subset F of
-    edges and looks for a bridge of G - F with at least s+1 vertices on both
-    sides: both sides of that cut (at most s+1 < k edges, inside F plus the
-    bridge) hold a cycle.  A smallest cyclic cut of c < k edges is found at
-    level c-1, where its last edge is a bridge.
-    """
-    if not 1 <= k <= 4:
-        raise ValueError("k must be in 1..4")
-    if not g.is_connected():
-        raise Disconnected("cyclic connectivity needs a connected graph")
-    for s in range(k - 1):
-        for subset in combinations(range(g.m), s):
-            removed = 0
-            for e in subset:
-                removed |= 1 << e
-            # n - side is the near side only if G - F is connected.  It is at
-            # every level reached: a set of s <= 2 edges disconnecting G holds
-            # a cut of c <= 2 edges, and both sides of such a cut hold a cycle
-            # (|S| = c mod 2 and |S| >= 1), so level c-1 already returned False.
-            for _, side in _bridge_sides(g, removed):
-                if min(side, g.n - side) > s:
-                    return False
-    return True
-
-
-def is_bipartite(g: CubicGraph) -> bool:
-    color = [-1] * g.n
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for e in g.incidence[v]:
-                w = g.other_end(e, v)
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
-
-
-def _bfs_order(g: CubicGraph) -> list[tuple[int, int]]:
-    """(vertex, bfs-parent) pairs over a BFS forest of g; parent -1 for roots."""
-    order: list[tuple[int, int]] = []
     seen = [False] * g.n
     for root in range(g.n):
         if seen[root]:
             continue
         seen[root] = True
-        qi = len(order)
-        order.append((root, -1))
-        while qi < len(order):
-            v = order[qi][0]
-            qi += 1
+        yield root, -1
+        queue = [root]
+        for v in queue:
             for e in g.incidence[v]:
                 w = g.other_end(e, v)
                 if not seen[w]:
                     seen[w] = True
-                    order.append((w, v))
-    return order
+                    queue.append(w)
+                    yield w, e
+
+
+def _cut_signatures(g: CubicGraph) -> list[int]:
+    """A bitmask per edge whose XOR over an edge set F is 0 iff F is a cut.
+
+    A non-tree edge e of the BFS forest has the bit 1 << e; a tree edge has
+    the XOR of the bits of the non-tree edges with exactly one end below it,
+    i.e. of the fundamental cycles through it.  F is a cut (the edges leaving
+    some vertex set) iff it meets every cycle an even number of times, iff the
+    XOR of its signatures is 0.
+    """
+    forest = list(_bfs_forest(g))
+    tree = {via for _, via in forest}
+    below = [0] * g.n  # XOR of non-tree edge bits at the vertices under v
+    sig = [0] * g.m
+    for e, (u, v) in enumerate(g.edges):
+        if e not in tree:
+            sig[e] = 1 << e
+            below[u] ^= sig[e]
+            below[v] ^= sig[e]
+    for v, via in reversed(forest):  # children before parents
+        if via != -1:
+            sig[via] = below[v]
+            below[g.other_end(via, v)] ^= below[v]
+    return sig
+
+
+def find_bridges(g: CubicGraph) -> EdgeSet:
+    """All cut edges: the edges whose cut signature is 0 (multigraph aware)."""
+    return g.edge_set(e for e, s in enumerate(_cut_signatures(g)) if not s)
+
+
+def cyclic_connectivity_at_least(g: CubicGraph, k: int) -> bool:
+    """True iff no cut of fewer than k edges separates two cycle-bearing parts.
+
+    A side S of a c-edge cut of a cubic graph spans (3|S| - c)/2 edges, so a
+    connected side holds a cycle exactly when |S| >= c.  Cuts are read off the
+    cut signatures.  A bridge (signature 0) or a 2-edge cut (two equal
+    signatures) always has cycles on both sides, as its sides are connected
+    and |S| = c mod 2.  Without those, both sides of a 3-edge cut are
+    connected, and one holds no cycle only when it is a single vertex, i.e.
+    when the three edges meet at one vertex.
+    """
+    if not 1 <= k <= 4:
+        raise ValueError("k must be in 1..4")
+    if not g.is_connected():
+        raise Disconnected("cyclic connectivity needs a connected graph")
+    sig = _cut_signatures(g)
+    edge_of = {s: e for e, s in enumerate(sig)}
+    if k >= 2 and 0 in edge_of:
+        return False
+    if k >= 3 and len(edge_of) < g.m:
+        return False
+    if k >= 4:
+        for e, f in combinations(range(g.m), 2):
+            h = edge_of.get(sig[e] ^ sig[f])
+            if h is not None and not any(
+                {e, f, h} == set(g.incidence[v]) for v in g.edges[e]
+            ):
+                return False
+    return True
+
+
+def is_bipartite(g: CubicGraph) -> bool:
+    """2-colour the BFS forest by depth parity; no edge may join equal colours."""
+    side = [0] * g.n
+    for v, via in _bfs_forest(g):
+        if via != -1:
+            side[v] = 1 - side[g.other_end(via, v)]
+    return all(side[u] != side[v] for u, v in g.edges)
 
 
 def is_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:
@@ -438,18 +411,18 @@ def is_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:
     if g.n != h.n or g.m != h.m:
         return False
     ga, ha = g.adjacency_counts(), h.adjacency_counts()
-    order = _bfs_order(g)
+    order = list(_bfs_forest(g))
     mapping = [-1] * g.n
     used = [False] * h.n
 
     def extend(pos: int) -> bool:
         if pos == len(order):
             return True
-        v, parent = order[pos]
-        if parent == -1:
+        v, via = order[pos]
+        if via == -1:
             candidates = range(h.n)
         else:
-            pv = mapping[parent]
+            pv = mapping[g.other_end(via, v)]
             candidates = [w for w in range(h.n) if ha[pv][w] and not used[w]]
         for w in candidates:
             if used[w]:

@@ -84,6 +84,18 @@ def test_compose_k4(capsys):
     assert parse_graph6(out.strip()).n == 20
 
 
+def test_compose_with_too_few_specs_is_usage_error(capsys):
+    code, _, err = run(capsys, "compose", "two-cut", "petersen", "0", "k33")
+    assert code == 2
+    assert "two-cut takes 2 graph/index pairs" in err and "Traceback" not in err
+
+
+def test_compose_with_a_bad_index_is_usage_error(capsys):
+    code, _, err = run(capsys, "compose", "three-cut", "petersen", "x", "k33", "0")
+    assert code == 2
+    assert "three-cut" in err and "'x'" in err and "Traceback" not in err
+
+
 def test_graph6_literal_and_file_specs(tmp_path, capsys):
     line = to_graph6(prism(4))
     code, out, _ = run(capsys, "tau", line)

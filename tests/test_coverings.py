@@ -454,6 +454,21 @@ class TestAnalyze:
             assert signal.getsignal(signal.SIGALRM) is before
             assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
+    def test_deadline_refuses_a_timer_the_caller_armed(self):
+        def handler(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGALRM, handler)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 30)
+            with pytest.raises(ValueError):
+                analyze_graph(petersen(), deadline=time.monotonic() + 5)
+            assert signal.getsignal(signal.SIGALRM) is handler
+            assert signal.getitimer(signal.ITIMER_REAL)[0] > 29
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_deadline_needs_the_main_thread(self):
         outcome = {}
 

@@ -61,6 +61,14 @@ def random_cubic_multigraph(n, rng):
             return g
 
 
+def disjoint_union(*parts):
+    edges, off = [], 0
+    for g in parts:
+        edges += [(u + off, v + off) for u, v in g.edges]
+        off += g.n
+    return CubicGraph(off, edges)
+
+
 def components(g, removed=0):
     """(vertex count, edge count) of each component of g minus the edges in
     the `removed` bitmask, by union-find."""
@@ -235,9 +243,13 @@ class TestBridges:
             )
 
         rng = random.Random(99)
-        for trial in range(60):
-            n = (10, 12, 14, 16)[trial % 4]
-            g = random_cubic_any(n, rng)
+        graphs = [random_cubic_any((10, 12, 14, 16)[i % 4], rng) for i in range(60)]
+        graphs += [random_cubic_multigraph((2, 4, 6, 8, 10)[i % 5], rng)
+                   for i in range(30)]
+        graphs += [disjoint_union(random_cubic_any((8, 10)[i % 2], rng),
+                                  random_cubic_multigraph((2, 4, 6)[i % 3], rng))
+                   for i in range(20)]
+        for g in graphs:
             assert find_bridges(g) == oracle(g)
 
 
@@ -310,6 +322,29 @@ class TestBipartite:
         assert not is_bipartite(prism(5))
 
 
+def test_connectivity_and_bipartiteness_against_brute_force():
+    def two_colourable(g):
+        return any(
+            all(((c >> u) ^ (c >> v)) & 1 for u, v in g.edges)
+            for c in range(1 << g.n)
+        )
+
+    rng = random.Random(12)
+    graphs = [random_cubic_multigraph((2, 4, 6, 8, 10, 12)[i % 6], rng)
+              for i in range(60)]
+    graphs += [disjoint_union(random_cubic_multigraph(a, rng),
+                              random_cubic_multigraph(b, rng))
+               for a in (2, 4, 6) for b in (2, 4, 6) for _ in range(3)]
+    graphs += [disjoint_union(theta(), k33()), disjoint_union(k4(), theta(), theta())]
+    outcomes = set()
+    for g in graphs:
+        assert g.n <= 12
+        assert g.is_connected() == (len(components(g)) == 1)
+        assert is_bipartite(g) == two_colourable(g)
+        outcomes.add((g.is_connected(), is_bipartite(g)))
+    assert outcomes == {(c, b) for c in (True, False) for b in (True, False)}
+
+
 class TestIsomorphism:
     def test_petersen_vs_doubling_permutation(self):
         from pmcover.generators import permutation_graph
@@ -336,19 +371,14 @@ class TestIsomorphism:
         assert not is_isomorphic(doubled, k4())
 
     def test_disconnected_graphs(self):
-        def union(*parts):
-            edges, off = [], 0
-            for g in parts:
-                edges += [(u + off, v + off) for u, v in g.edges]
-                off += g.n
-            return CubicGraph(off, edges)
-
-        two_k4 = union(k4(), k4())
+        two_k4 = disjoint_union(k4(), k4())
         perm = [5, 2, 7, 0, 4, 1, 6, 3]
         relabeled = CubicGraph(8, [(perm[u], perm[v]) for u, v in two_k4.edges])
         assert is_isomorphic(two_k4, relabeled)
-        assert is_isomorphic(union(theta(), k33()), union(k33(), theta()))
-        assert not is_isomorphic(union(prism(3), theta()), union(k33(), theta()))
+        assert is_isomorphic(disjoint_union(theta(), k33()),
+                             disjoint_union(k33(), theta()))
+        assert not is_isomorphic(disjoint_union(prism(3), theta()),
+                                 disjoint_union(k33(), theta()))
         assert not is_isomorphic(two_k4, prism(4))
         assert not is_isomorphic(prism(4), two_k4)
 
