@@ -2,10 +2,10 @@
 
 The package enumerates perfect matchings of cubic multigraphs, computes the
 perfect matching index tau and the odd covering index tau_odd, searches
-Fulkerson coverings and Fan-Raspaud triples, builds 4- and 5-coverings
-constructively from good pairs and balanced-matching families, generates
-the classical snark families, and applies the 2-cut, 3-cut and K4
-composition operators - all with exact, deterministic search.
+Fulkerson coverings and Fan-Raspaud triples, builds 4-coverings
+constructively from good pairs, generates the classical snark families, and
+applies the 2-cut, 3-cut and K4 composition operators - all with exact,
+deterministic search.
 """
 
 from .compositions import (
@@ -15,14 +15,11 @@ from .compositions import (
     two_cut_join,
 )
 from .constructions import (
-    FamilyCert,
     GoodPairCert,
     check_good_triple,
-    covering_from_family,
     find_good_triple,
     four_covering_from_good_pairs,
     pair_odd_cycles,
-    verify_family,
 )
 from .coverings import (
     Covering,
@@ -36,13 +33,11 @@ from .coverings import (
     double_covering,
     even_covering_from_four_covering,
     find_fr_triples,
-    find_k_covering,
     fr_structure,
     fulkerson_covering,
     has_k_covering,
     odd_covering_from_four_covering,
     odd_covering_number,
-    reduce_odd_covering,
 )
 from .edge_coloring import is_three_edge_colorable, three_edge_coloring
 from .generators import (
@@ -56,7 +51,6 @@ from .generators import (
     k4,
     k33,
     named_graph,
-    permutation_defining_two_factor,
     permutation_graph,
     petersen,
     prism,
@@ -71,14 +65,12 @@ from .graphs import (
     TwoFactor,
     cyclic_connectivity_at_least,
     find_bridges,
-    is_bipartite,
     is_isomorphic,
     is_perfect_matching,
     two_factor_of,
 )
 from .matchings import (
     PMCatalog,
-    edges_missing_from_all_pms,
     enumerate_perfect_matchings,
     matching_line,
     pm_pair_stats,

@@ -30,6 +30,7 @@ from .generators import (
     random_bridgeless_cubic,
 )
 from .graph6 import parse_graph6, to_graph6
+from .graphs import find_bridges
 from .matchings import enumerate_perfect_matchings, matching_line
 from .scan import run_scan
 from .verify import run_all
@@ -182,10 +183,19 @@ def _cmd_fulkerson(args) -> int:
     catalog = enumerate_perfect_matchings(g, args.max_pm)
     cov = fulkerson_covering(g, catalog)
     if cov is None:
-        print(
-            "NO FULKERSON COVERING EXISTS for this graph - "
-            "a counterexample to the double-cover conjecture; please re-check."
-        )
+        bridges = len(find_bridges(g))
+        if bridges:
+            # a bridged graph has an edge in no perfect matching, and the
+            # double-cover conjecture is about bridgeless graphs
+            print(
+                f"NO FULKERSON COVERING: {bridges} bridge(s), "
+                "so some edge lies in no perfect matching"
+            )
+        else:
+            print(
+                "NO FULKERSON COVERING EXISTS for this graph - "
+                "a counterexample to the double-cover conjecture; please re-check."
+            )
         return 1
     if args.json:
         print(json.dumps({"members": list(cov.members)}))
@@ -223,18 +233,26 @@ def _cmd_compose(args) -> int:
             f"({want} arguments), got {len(specs)}"
         )
 
-    def index(text: str) -> int:
+    def index(spec: str, g, text: str) -> int:
+        # two-cut joins at an edge, three-cut and k4 at a vertex
+        kind, size = ("edge", g.m) if op == "two-cut" else ("vertex", g.n)
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise InvalidParams(
                 f"compose {op}: index {text!r} is not an integer"
             ) from None
+        if not 0 <= value < size:
+            raise InvalidParams(
+                f"compose {op}: {kind} {value} of {spec!r} is out of range "
+                f"0..{size - 1}"
+            )
+        return value
 
-    pairs = [
-        (_resolve(specs[i], args.seed), index(specs[i + 1]))
-        for i in range(0, want, 2)
-    ]
+    pairs = []
+    for i in range(0, want, 2):
+        g = _resolve(specs[i], args.seed)
+        pairs.append((g, index(specs[i], g, specs[i + 1])))
     if op == "k4":
         g = k4_composition(pairs)
     else:

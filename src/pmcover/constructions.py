@@ -4,31 +4,17 @@ A *good triple* between two odd cycles of a 2-factor is a set of three
 cross edges whose endpoints cut both cycles into three odd arcs; a pair of
 cycles carrying one is a *good pair*.  When the odd cycles of a 2-factor can
 be arranged into good pairs, four perfect matchings covering the whole edge
-set can be written down directly - no search - and the same construction
-generalizes to families of balanced matchings sharing a base matching.
+set can be written down directly - no search.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
 from .coverings import Covering, CoveringKind
-from .errors import (
-    ConstructionFailed,
-    InvalidCertificate,
-    InvalidFamily,
-    MalformedCert,
-    NotOddCycles,
-)
-from .graphs import (
-    CubicGraph,
-    EdgeSet,
-    TwoFactor,
-    is_perfect_matching,
-    two_factor_of,
-)
+from .errors import ConstructionFailed, InvalidCertificate, NotOddCycles
+from .graphs import CubicGraph, EdgeSet, TwoFactor, is_perfect_matching
 
 
 @dataclass(frozen=True)
@@ -46,15 +32,6 @@ class GoodPairCert:
     first_endpoints: tuple[int, int, int]
     second_endpoints: tuple[int, int, int]
     arcs: tuple[tuple[int, int, int], tuple[int, int, int]]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "cycles": list(self.cycle_ids),
-                "cross_edges": list(self.cross_edges),
-                "arcs": [list(a) for a in self.arcs],
-            }
-        )
 
 
 def _cycle_positions(cycle: tuple[int, ...]) -> dict[int, int]:
@@ -240,126 +217,4 @@ def four_covering_from_good_pairs(
         expected = {cert.cross_edges[j - 1] for cert in rechecked}
         if set(matchings[0] & matchings[j]) != expected:
             raise ConstructionFailed("cross-edge intersections are off")
-    return Covering.from_matchings(g, matchings, CoveringKind.PLAIN)
-
-
-@dataclass(frozen=True)
-class FamilyCert:
-    """Disjoint balanced matchings A, B, C (and maybe D) under a base matching.
-
-    Each part must arise as witness ∩ base for its witness matching; three
-    parts make a *good family* candidate, four a *nice family* candidate.
-    """
-
-    base: EdgeSet
-    parts: tuple[EdgeSet, ...]
-    witnesses: tuple[EdgeSet, ...]
-
-
-@dataclass(frozen=True)
-class FamilyCheck:
-    valid: bool
-    violated: str | None = None
-
-
-def _family_shape(g: CubicGraph, cert: FamilyCert) -> None:
-    if len(cert.parts) not in (3, 4):
-        raise MalformedCert("need exactly 3 or 4 parts")
-    if len(cert.witnesses) != len(cert.parts):
-        raise MalformedCert("need one witness per part")
-    for es in (cert.base, *cert.parts, *cert.witnesses):
-        if es.width != g.m:
-            raise MalformedCert("edge set width does not match the graph")
-    if not is_perfect_matching(g, cert.base):
-        raise MalformedCert("base is not a perfect matching")
-
-
-def verify_family(g: CubicGraph, cert: FamilyCert) -> FamilyCheck:
-    """Check the good-family (3 parts) or nice-family (4 parts) conditions.
-
-    Violations: "disjointness" (parts overlap or escape the base),
-    "witness" (witness not a matching with witness ∩ base = part),
-    "condition (i)" (odd cycles: one vertex per part, odd arcs),
-    "condition (ii)" (even cycles: fewer than two parts avoid the cycle).
-    """
-    _family_shape(g, cert)
-    nice = len(cert.parts) == 4
-    seen = 0
-    for part in cert.parts:
-        if part.bits & ~cert.base.bits or part.bits & seen:
-            return FamilyCheck(False, "disjointness")
-        seen |= part.bits
-    for part, wit in zip(cert.parts, cert.witnesses):
-        if not is_perfect_matching(g, wit) or (wit & cert.base) != part:
-            return FamilyCheck(False, "witness")
-    tf = two_factor_of(g, cert.base)
-    for cid, cyc in enumerate(tf.cycles):
-        on_cycle = set(cyc)
-        marked: list[list[int]] = []
-        for part in cert.parts:
-            hits = []
-            for e in part:
-                hits += [v for v in g.endpoints(e) if v in on_cycle]
-            marked.append(hits)
-        if tf.is_odd(cid):
-            if any(len(hits) != 1 for hits in marked):
-                return FamilyCheck(False, "condition (i)")
-            pos = sorted(cyc.index(hits[0]) for hits in marked)
-            arcs = [b - a for a, b in zip(pos, pos[1:])]
-            arcs.append(len(cyc) - pos[-1] + pos[0])
-            odd_arcs = sum(1 for x in arcs if x % 2)
-            if (not nice and odd_arcs != 3) or (nice and odd_arcs < 2):
-                return FamilyCheck(False, "condition (i)")
-        else:
-            untouched = sum(1 for hits in marked if not hits)
-            if untouched < 2:
-                return FamilyCheck(False, "condition (ii)")
-    return FamilyCheck(True)
-
-
-def covering_from_family(g: CubicGraph, cert: FamilyCert) -> Covering:
-    """Covering guaranteed by a verified family: size 4 (good) or 5 (nice).
-
-    On each even cycle of the 2-factor, the two lowest-indexed avoiding
-    witnesses swap in complementary alternating classes (the class holding
-    the lowest-indexed cycle edge goes to the lower witness); odd cycles are
-    already covered by the forced near-matchings.
-    """
-    check = verify_family(g, cert)
-    if not check.valid:
-        raise InvalidFamily(f"family violates {check.violated}")
-    witnesses = [w.bits for w in cert.witnesses]
-    tf = two_factor_of(g, cert.base)
-    for cid in tf.even_cycle_ids:
-        cyc = tf.cycles[cid]
-        on_cycle = set(cyc)
-        eligible = []
-        for k, part in enumerate(cert.parts):
-            touched = any(
-                v in on_cycle for e in part for v in g.endpoints(e)
-            )
-            if not touched:
-                eligible.append(k)
-        x, y = eligible[0], eligible[1]
-        edges = tf.cycle_edges[cid]
-        cycle_bits = 0
-        for e in edges:
-            cycle_bits |= 1 << e
-        class_a = [edges[i] for i in range(0, len(edges), 2)]
-        class_b = [edges[i] for i in range(1, len(edges), 2)]
-        if min(class_b) < min(class_a):
-            class_a, class_b = class_b, class_a
-        bits_a = 0
-        for e in class_a:
-            bits_a |= 1 << e
-        witnesses[x] = (witnesses[x] & ~cycle_bits) | bits_a
-        witnesses[y] = (witnesses[y] & ~cycle_bits) | (cycle_bits ^ bits_a)
-    matchings = [cert.base] + [EdgeSet(g.m, bits) for bits in witnesses]
-    union = 0
-    for es in matchings:
-        if not is_perfect_matching(g, es):
-            raise ConstructionFailed("adjusted witness is not a perfect matching")
-        union |= es.bits
-    if union != (1 << g.m) - 1:
-        raise ConstructionFailed("family covering misses an edge")
     return Covering.from_matchings(g, matchings, CoveringKind.PLAIN)

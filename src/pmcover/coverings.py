@@ -247,18 +247,6 @@ def covering_number(g: CubicGraph, catalog: PMCatalog, cap: int = 6) -> TauResul
     return TauResult("exceeds", cap)
 
 
-def find_k_covering(g: CubicGraph, catalog: PMCatalog, k: int) -> Covering | None:
-    """Some plain covering of size exactly k (lex smallest), or None."""
-    check_catalog(g, catalog)
-    if k < 3:
-        raise InvalidParams("k must be at least 3")
-    full = (1 << g.m) - 1
-    chosen = _lex_cover(catalog.masks, catalog.by_edge, full, k, g.n // 2)
-    if chosen is None:
-        return None
-    return Covering.from_indices(catalog, chosen, CoveringKind.PLAIN)
-
-
 def has_k_covering(g: CubicGraph, catalog: PMCatalog, k: int) -> bool:
     """Existence probe for a plain covering of size k (no witness)."""
     check_catalog(g, catalog)
@@ -526,44 +514,6 @@ def fulkerson_covering(g: CubicGraph, catalog: PMCatalog) -> Covering | None:
     if dfs(0, 6, 0, 0):
         return Covering.from_indices(catalog, chosen, CoveringKind.FULKERSON)
     return None
-
-
-def reduce_odd_covering(cov: Covering) -> Covering:
-    """Strip duplicate pairs from an odd multiset covering.
-
-    Removing two copies of the same matching preserves parity; a pair is
-    removed only when every one of its edges stays covered, scanning
-    duplicates in ascending order until no pair is removable.
-    """
-    mults = cov.multiplicities()
-    if any(c % 2 == 0 for c in mults):
-        raise NotOdd("input does not cover every edge an odd number of times")
-    if cov.catalog is not None and cov.members is not None:
-        keyed = list(cov.members)
-        lookup = cov.catalog.matchings
-    else:
-        keyed = [pm.bits for pm in cov.matchings]
-        lookup = None
-    counts = list(cov.multiplicities())
-    changed = True
-    while changed:
-        changed = False
-        for key in sorted(set(keyed)):
-            if keyed.count(key) < 2:
-                continue
-            pm = lookup[key] if lookup is not None else EdgeSet(cov.graph.m, key)
-            if all(counts[e] >= 3 for e in pm):
-                keyed.remove(key)
-                keyed.remove(key)
-                for e in pm:
-                    counts[e] -= 2
-                changed = True
-                break
-    if cov.catalog is not None and cov.members is not None:
-        return Covering.from_indices(cov.catalog, keyed, CoveringKind.ODD)
-    return Covering.from_matchings(
-        cov.graph, [EdgeSet(cov.graph.m, k) for k in keyed], CoveringKind.ODD
-    )
 
 
 REPORT_FIELDS = (

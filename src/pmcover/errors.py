@@ -101,13 +101,5 @@ class ConstructionFailed(CertificateError):
     """Internal consistency assertion breached while building a covering."""
 
 
-class MalformedCert(CertificateError):
-    """Family certificate is structurally unusable."""
-
-
-class InvalidFamily(CertificateError):
-    """Family certificate fails verification, so no covering can be built."""
-
-
 class DeadlineExceeded(Exception):
     """The per-graph deadline of ``analyze_graph`` passed."""

@@ -279,15 +279,6 @@ def permutation_graph(sigma: list[int] | tuple[int, ...]) -> CubicGraph:
     return CubicGraph(2 * n, edges)
 
 
-def permutation_defining_two_factor(g: CubicGraph) -> TwoFactor:
-    """The two-ring 2-factor of a graph built by permutation_graph."""
-    n = g.n // 2
-    spokes = g.edge_set(
-        e for e, (u, v) in enumerate(g.edges) if (u < n) != (v < n)
-    )
-    return two_factor_of(g, spokes)
-
-
 def random_bridgeless_cubic(n: int, seed: int) -> CubicGraph:
     """Random simple connected bridgeless cubic graph via stub pairing.
 

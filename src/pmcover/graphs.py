@@ -11,9 +11,9 @@ Edge subsets (matchings, cuts, cycle edge sets) are ``EdgeSet`` values: a
 fixed-width bit vector over edge indices backed by a plain int.
 
 Every traversal walks one BFS forest (``_bfs_forest``): connectivity counts
-its roots, bipartiteness is its depth parity, isomorphism maps vertices in its
-order, and bridges and cyclic connectivity read cuts off the cycle-space
-signatures of its edges (``_cut_signatures``).
+its roots, isomorphism maps vertices in its order, and bridges and cyclic
+connectivity read cuts off the cycle-space signatures of its edges
+(``_cut_signatures``).
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ class EdgeSet:
         self._check(other)
         return EdgeSet(self.width, self.bits & ~other.bits)
 
-    def complement(self) -> "EdgeSet":
-        return EdgeSet(self.width, self.bits ^ ((1 << self.width) - 1))
-
     def __len__(self) -> int:
         return self.bits.bit_count()
 
@@ -112,9 +109,6 @@ class EdgeSet:
 
     def __hash__(self) -> int:
         return hash((self.width, self.bits))
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)
 
     def __repr__(self) -> str:
         return f"EdgeSet({list(self)}, width={self.width})"
@@ -185,10 +179,6 @@ class CubicGraph:
     def incident(self, v: int) -> tuple[int, int, int]:
         return self.incidence[v]
 
-    def neighbors(self, v: int) -> tuple[int, int, int]:
-        """Neighbors of v in ascending incident-edge order (with multiplicity)."""
-        return tuple(self.other_end(e, v) for e in self.incidence[v])
-
     def edge_ids_between(self, u: int, v: int) -> tuple[int, ...]:
         return tuple(e for e in self.incidence[u] if self.other_end(e, u) == v)
 
@@ -206,9 +196,6 @@ class CubicGraph:
             cached = tuple(tuple(row) for row in counts)
             object.__setattr__(self, "_adj", cached)
         return cached
-
-    def empty_edge_set(self) -> EdgeSet:
-        return EdgeSet(self.m, 0)
 
     def edge_set(self, indices: Iterable[int]) -> EdgeSet:
         return EdgeSet.from_indices(self.m, indices)
@@ -255,13 +242,6 @@ class TwoFactor:
     @property
     def even_cycle_ids(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.cycles)) if not self.is_odd(i))
-
-    def all_cycle_edges(self) -> EdgeSet:
-        bits = 0
-        for es in self.cycle_edges:
-            for e in es:
-                bits |= 1 << e
-        return EdgeSet(self.graph.m, bits)
 
 
 def is_perfect_matching(g: CubicGraph, pm: EdgeSet) -> bool:
@@ -390,15 +370,6 @@ def cyclic_connectivity_at_least(g: CubicGraph, k: int) -> bool:
             ):
                 return False
     return True
-
-
-def is_bipartite(g: CubicGraph) -> bool:
-    """2-colour the BFS forest by depth parity; no edge may join equal colours."""
-    side = [0] * g.n
-    for v, via in _bfs_forest(g):
-        if via != -1:
-            side[v] = 1 - side[g.other_end(via, v)]
-    return all(side[u] != side[v] for u, v in g.edges)
 
 
 def is_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:

@@ -94,12 +94,6 @@ def enumerate_perfect_matchings(
     return PMCatalog(g, tuple(EdgeSet(g.m, bits) for bits in found))
 
 
-def edges_missing_from_all_pms(g: CubicGraph, catalog: PMCatalog) -> EdgeSet:
-    """Complement of the union of all catalog members."""
-    check_catalog(g, catalog)
-    return EdgeSet(g.m, catalog.union ^ ((1 << g.m) - 1))
-
-
 @dataclass(frozen=True)
 class PairStats:
     """Extremes of |Mi ∩ Mj| and |Mi ∪ Mj| over unordered catalog pairs."""

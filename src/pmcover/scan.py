@@ -192,9 +192,12 @@ def _tally(summary: ScanSummary, record: ScanRecord, cap: int) -> None:
             summary.known_petersen.append(record.graph_id)
         else:
             summary.problem_candidates.append(record.graph_id)
-    if record.metrics.get("berge5") is False:
+    # a bridged graph has an edge in no perfect matching, so no covering at
+    # all; the Berge and Fulkerson conjectures are about bridgeless graphs
+    bridgeless = record.metrics.get("bridges") == 0
+    if bridgeless and record.metrics.get("berge5") is False:
         summary.berge_failures.append(record.graph_id)
-    if record.metrics.get("fulkerson") is False:
+    if bridgeless and record.metrics.get("fulkerson") is False:
         summary.fulkerson_failures.append(record.graph_id)
     if record.metrics.get("tau") == 5 and record.metrics.get("tau_odd") == 5:
         summary.tau5_odd5.append(record.graph_id)

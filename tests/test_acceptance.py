@@ -6,9 +6,15 @@ its wall-clock budget; the same checks back the CLI's verify-paper command.
 """
 
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+from pmcover.cli import build_parser
 from pmcover.verify import (
     criterion_1_petersen,
     criterion_2_blanusa,
@@ -70,3 +76,29 @@ def test_criterion_7_property_suites():
 
 def test_criterion_8_oracle_equivalence():
     _report(criterion_8_oracles, budget_s=300.0)
+
+
+def test_readme_examples():
+    """The README's library example runs and its commands parse."""
+    root = Path(__file__).parent.parent
+    blocks = re.findall(
+        r"^```(\w*)\n(.*?)^```", (root / "README.md").read_text(), re.M | re.S
+    )
+    (library,) = [body for lang, body in blocks if lang == "python"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", library],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["4", "5"]
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for _, body in blocks
+        for line in body.splitlines()
+        if line.startswith("pmcover ")
+    ]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

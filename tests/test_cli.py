@@ -96,6 +96,20 @@ def test_compose_with_a_bad_index_is_usage_error(capsys):
     assert "three-cut" in err and "'x'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "specs,message",
+    [(("two-cut", "petersen", "99", "k33", "0"),
+      "compose two-cut: edge 99 of 'petersen' is out of range 0..14"),
+     (("k4", "petersen", "0", "petersen", "0", "theta", "0", "theta", "5"),
+      "compose k4: vertex 5 of 'theta' is out of range 0..1")],
+    ids=["two-cut-edge", "k4-vertex"],
+)
+def test_compose_index_out_of_range_is_usage_error(capsys, specs, message):
+    code, _, err = run(capsys, "compose", *specs)
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
 def test_graph6_literal_and_file_specs(tmp_path, capsys):
     line = to_graph6(prism(4))
     code, out, _ = run(capsys, "tau", line)
@@ -218,10 +232,13 @@ def test_scan_records_infeasible_status(tmp_path):
     corpus = tmp_path / "c.g6"
     corpus.write_text(to_graph6(bridged_double_k4()) + "\n")
     out_file = tmp_path / "r.jsonl"
-    run_scan(corpus, out_file, timeout_s=None)
+    summary = run_scan(corpus, out_file, timeout_s=None)
     record = ScanRecord.from_json(out_file.read_text().strip())
     assert record.status == "infeasible"
     assert record.metrics["bridges"] == 1
+    # no covering exists, but the conjectures are about bridgeless graphs
+    assert summary.berge_failures == [] and summary.fulkerson_failures == []
+    assert "FLAG" not in summary.render()
 
 
 def test_scan_deduplicates_repeated_input_lines(tmp_path):
@@ -303,13 +320,17 @@ def test_scan_resume_names_the_file_and_line_of_a_bad_record(tmp_path, capsys):
 
 
 def test_fulkerson_not_found_exits_1(tmp_path, capsys):
+    from test_graphs import bridged_double_k4
     from test_matchings import matching_free_cubic
 
     path = tmp_path / "g.g6"
-    path.write_text(to_graph6(matching_free_cubic()) + "\n")
-    code, out, _ = run(capsys, "fulkerson", str(path))
-    assert code == 1
-    assert "NO FULKERSON COVERING" in out
+    for g in (matching_free_cubic(), bridged_double_k4()):
+        path.write_text(to_graph6(g) + "\n")
+        code, out, _ = run(capsys, "fulkerson", str(path))
+        assert code == 1
+        assert "NO FULKERSON COVERING" in out
+        # a bridged graph is no counterexample to a bridgeless conjecture
+        assert "counterexample" not in out and "bridge(s)" in out
 
 
 def test_analyze_handles_multigraph_generator_spec(capsys):

@@ -6,7 +6,7 @@ from pmcover.compositions import (
     three_cut_join,
     two_cut_join,
 )
-from pmcover.coverings import covering_number, find_k_covering, odd_covering_number
+from pmcover.coverings import covering_number, odd_covering_number
 from pmcover.edge_coloring import is_three_edge_colorable
 from pmcover.errors import BadEdgeIndex, BadVertex
 from pmcover.generators import (
@@ -87,7 +87,8 @@ class TestThreeCutJoin:
         # whole principal cut into one member
         g = three_cut_join(petersen(), 0, k4(), 0)
         cat = enumerate_perfect_matchings(g)
-        cov = find_k_covering(g, cat, 4)
+        # tau is 4 here, so this is the lex-smallest 4-covering
+        cov = covering_number(g, cat, cap=4).witness
         if cov is not None:
             (cut,) = g.principal_cuts
             assert any(cut <= pm for pm in cov.matchings)

@@ -1,22 +1,14 @@
 import pytest
 
 from pmcover.constructions import (
-    FamilyCert,
     check_good_triple,
-    covering_from_family,
     find_good_triple,
     four_covering_from_good_pairs,
     pair_odd_cycles,
-    verify_family,
 )
-from pmcover.coverings import (
-    covering_multiplicities,
-    covering_number,
-)
+from pmcover.coverings import covering_multiplicities
 from pmcover.errors import (
     InvalidCertificate,
-    InvalidFamily,
-    MalformedCert,
     NotOddCycles,
 )
 from pmcover.generators import (
@@ -25,7 +17,6 @@ from pmcover.generators import (
     flower_snark,
     goldberg_graph,
     goldberg_proof_cycles,
-    k33,
     petersen,
     prism,
     random_bridgeless_cubic,
@@ -184,90 +175,6 @@ class TestFourCovering:
             assert triple[0] & triple[1] & triple[2] == 0
 
 
-def good_family_from_blanusa(which=1):
-    g = blanusa(which)
-    tf = nine_nine_two_factor(g)
-    cert = find_good_triple(g, tf, 0, 1)
-    cov = four_covering_from_good_pairs(g, tf, [(0, 1)], [cert])
-    base = tf.matching
-    witnesses = [pm for pm in cov.matchings if pm != base]
-    parts = tuple(w & base for w in witnesses)
-    return g, FamilyCert(base, parts, tuple(witnesses))
-
-
-class TestFamilies:
-    def test_blanusa_singleton_good_family(self):
-        g, cert = good_family_from_blanusa()
-        assert all(len(p) == 1 for p in cert.parts)
-        check = verify_family(g, cert)
-        assert check.valid
-
-    def test_overlapping_parts_fail_disjointness(self):
-        g, cert = good_family_from_blanusa()
-        bad = FamilyCert(cert.base, (cert.parts[0],) * 3, cert.witnesses)
-        assert verify_family(g, bad).violated == "disjointness"
-
-    def test_witness_mismatch_detected(self):
-        g, cert = good_family_from_blanusa()
-        bad = FamilyCert(
-            cert.base, cert.parts,
-            (cert.witnesses[1], cert.witnesses[0], cert.witnesses[2]),
-        )
-        assert verify_family(g, bad).violated == "witness"
-
-    def test_odd_cycle_missing_a_part_fails_condition_i(self):
-        # empty fourth part never touches the odd cycles
-        g, cert = good_family_from_blanusa()
-        empty = cert.base.complement() & cert.base  # empty set of right width
-        bad = FamilyCert(
-            cert.base, cert.parts + (empty,),
-            cert.witnesses + (cert.witnesses[0],),
-        )
-        check = verify_family(g, bad)
-        assert not check.valid and check.violated in ("condition (i)", "witness")
-
-    def test_malformed_cert_rejected(self):
-        g, cert = good_family_from_blanusa()
-        with pytest.raises(MalformedCert):
-            verify_family(g, FamilyCert(cert.base, cert.parts[:2], cert.witnesses[:2]))
-
-    def test_covering_from_good_family(self):
-        g, cert = good_family_from_blanusa()
-        cov = covering_from_family(g, cert)
-        assert cov.size == 4
-        report = covering_multiplicities(cov)
-        assert is_perfect_matching(g, report.doubly_covered)
-
-    def test_covering_from_family_matches_direct_construction_size(self):
-        g, cert = good_family_from_blanusa(2)
-        cov = covering_from_family(g, cert)
-        direct = covering_number(g, enumerate_perfect_matchings(g), cap=4).witness
-        assert cov.size == direct.size == 4
-
-    def test_nice_family_on_three_edge_colorable_graph(self):
-        g = k33()
-        cat = enumerate_perfect_matchings(g)
-        coloring = covering_number(g, cat, cap=3).witness.matchings
-        base = coloring[0]
-        empty = g.empty_edge_set()
-        cert = FamilyCert(
-            base,
-            (empty, empty, empty, empty),
-            (coloring[1], coloring[2], coloring[1], coloring[2]),
-        )
-        check = verify_family(g, cert)
-        assert check.valid
-        cov = covering_from_family(g, cert)
-        assert cov.size == 5
-        assert min(cov.multiplicities()) >= 1
-
-    def test_invalid_family_cannot_build(self):
-        g, cert = good_family_from_blanusa()
-        bad = FamilyCert(cert.base, (cert.parts[0],) * 3, cert.witnesses)
-        with pytest.raises(InvalidFamily):
-            covering_from_family(g, bad)
-
-
 def test_good_pair_arrangements_certify_4_coverings():
     """Whenever odd cycles arrange into good pairs, the construction
     certifies a 4-covering."""
@@ -285,35 +192,6 @@ def test_good_pair_arrangements_certify_4_coverings():
         assert min(cov.multiplicities()) >= 1
         built += 1
     assert built >= 80
-
-
-def test_flower_family_covering_matches_direct_size():
-    g = flower_snark(5)
-    tf = two_factor_from_cycles(g, flower_proof_cycles(5))
-    cert = find_good_triple(g, tf, 0, 1)
-    direct = four_covering_from_good_pairs(g, tf, [(0, 1)], [cert])
-    base = tf.matching
-    witnesses = [pm for pm in direct.matchings if pm != base]
-    family = FamilyCert(
-        base,
-        tuple(w & base for w in witnesses),
-        tuple(witnesses),
-    )
-    assert verify_family(g, family).valid
-    cov = covering_from_family(g, family)
-    assert cov.size == direct.size == 4
-
-
-def test_certificate_serializes_to_json():
-    import json
-
-    g = flower_snark(5)
-    tf = two_factor_from_cycles(g, flower_proof_cycles(5))
-    cert = find_good_triple(g, tf, 0, 1)
-    data = json.loads(cert.to_json())
-    assert data["cycles"] == [0, 1]
-    assert len(data["cross_edges"]) == 3
-    assert all(len(arcs) == 3 and all(a % 2 for a in arcs) for a_pair in [data["arcs"]] for arcs in a_pair)
 
 
 def _join_through_matching_edges(g1, pm1_cycles, edge1, g2, pm2_cycles, edge2):

@@ -37,14 +37,13 @@ from pmcover.coverings import (
     double_covering,
     even_covering_from_four_covering,
     find_fr_triples,
-    find_k_covering,
     fr_structure,
     fulkerson_covering,
     has_k_covering,
     odd_covering_from_four_covering,
     odd_covering_number,
-    reduce_odd_covering,
 )
+from pmcover.coverings import _lex_cover
 
 from test_graphs import bridged_double_k4
 
@@ -117,30 +116,34 @@ def _union(masks, sub):
     return acc
 
 
+def lex_cover(g, cat, k):
+    """The lex-smallest k distinct members covering E(g), or None."""
+    return _lex_cover(cat.masks, cat.by_edge, (1 << g.m) - 1, k, g.n // 2)
+
+
 class TestFindKCovering:
     def test_petersen_has_no_4_covering(self):
         g, cat = catalog_of(petersen())
-        assert find_k_covering(g, cat, 4) is None
+        assert lex_cover(g, cat, 4) is None
 
     def test_petersen_5_covering(self):
         g, cat = catalog_of(petersen())
-        cov = find_k_covering(g, cat, 5)
-        assert cov.size == 5 and cov.members == (0, 1, 2, 3, 4)
+        assert lex_cover(g, cat, 5) == (0, 1, 2, 3, 4)
 
     def test_flower5_4_covering(self):
         g, cat = catalog_of(flower_snark(5))
-        cov = find_k_covering(g, cat, 4)
-        assert cov is not None and min(cov.multiplicities()) >= 1
+        chosen = lex_cover(g, cat, 4)
+        assert len(chosen) == 4 and _union(cat.masks, chosen) == (1 << g.m) - 1
 
     def test_padding_allowed_when_tau_is_smaller(self):
         g, cat = catalog_of(k33())
-        cov = find_k_covering(g, cat, 4)
-        assert cov is not None and cov.size == 4
+        chosen = lex_cover(g, cat, 4)
+        assert len(chosen) == 4 and _union(cat.masks, chosen) == (1 << g.m) - 1
 
     def test_k_below_3_rejected(self):
         g, cat = catalog_of(k4())
         with pytest.raises(InvalidParams):
-            find_k_covering(g, cat, 2)
+            covering_number(g, cat, cap=2)
 
 
 class TestMultiplicities:
@@ -359,33 +362,6 @@ class TestFulkerson:
 
         g, cat = catalog_of(matching_free_cubic())
         assert fulkerson_covering(g, cat) is None
-
-
-class TestReduceOddCovering:
-    def test_duplicated_pair_removed(self):
-        g, cat = catalog_of(k4())
-        # {M0, M0, M0, M1, M2}: the 3-edge-coloring plus a duplicated pair
-        cov = Covering.from_indices(cat, (0, 0, 0, 1, 2), CoveringKind.ODD)
-        reduced = reduce_odd_covering(cov)
-        assert reduced.members == (0, 1, 2)
-
-    def test_fixpoint_on_distinct(self):
-        g, cat = catalog_of(blanusa(1))
-        five = odd_covering_number(g, cat, cap=7).witness
-        assert reduce_odd_covering(five).members == five.members
-
-    def test_rejects_non_odd_multiset(self):
-        g, cat = catalog_of(k4())
-        # A, A, B, B, C covers the A and B edges twice: not an odd covering
-        with pytest.raises(NotOdd):
-            cov = Covering(
-                g,
-                tuple(cat.matchings[i] for i in (0, 0, 1, 1, 2)),
-                CoveringKind.ODD,
-                cat,
-                (0, 0, 1, 1, 2),
-            )
-            reduce_odd_covering(cov)
 
 
 class TestConjectureFields:
@@ -681,6 +657,12 @@ class TestKindValidation:
         with pytest.raises(CoveringError):
             Covering.from_indices(cat, (0, 1, 2, 3, 4), CoveringKind.FULKERSON)
 
+    def test_odd_rejects_even_multiplicities(self):
+        g, cat = catalog_of(k4())
+        # A, A, B, B, C covers the A and B edges twice: not an odd covering
+        with pytest.raises(NotOdd):
+            Covering.from_indices(cat, (0, 0, 1, 1, 2), CoveringKind.ODD)
+
     def test_odd_accepts_multiset(self):
         g, cat = catalog_of(k4())
         cov = Covering.from_indices(cat, (0, 0, 0, 1, 2), CoveringKind.ODD)
@@ -692,16 +674,6 @@ class TestKindValidation:
             Covering.from_matchings(
                 g, [g.edge_set([0, 1, 2, 3, 4])], CoveringKind.PLAIN
             )
-
-
-def test_reduce_strips_duplicates_from_padded_five_covering():
-    g, cat = catalog_of(blanusa(1))
-    five = odd_covering_number(g, cat, cap=7).witness
-    padded = Covering.from_indices(
-        cat, five.members + (five.members[0],) * 2, CoveringKind.ODD
-    )
-    assert padded.size == 7
-    assert reduce_odd_covering(padded).members == five.members
 
 
 def test_example_graph_satisfies_fan_raspaud_with_k_3():
@@ -736,7 +708,7 @@ def test_even_8_from_flower7():
 def test_find_k_covering_is_lex_smallest():
     for graph, k in ((k33(), 4), (blanusa(1), 5), (petersen(), 5)):
         g, cat = catalog_of(graph)
-        cov = find_k_covering(g, cat, k)
+        chosen = lex_cover(g, cat, k)
         masks = cat.masks
         full = (1 << g.m) - 1
         expect = next(
@@ -744,25 +716,5 @@ def test_find_k_covering_is_lex_smallest():
             for sub in combinations(range(cat.count), k)
             if _union(masks, sub) == full
         )
-        assert cov.members == expect
+        assert chosen == expect
 
-
-def test_reduce_round_trips_random_padded_multisets():
-    import random
-
-    rng = random.Random(2)
-    reduced_count = 0
-    for seed in range(20):
-        g = random_bridgeless_cubic((10, 12, 14)[seed % 3], 4000 + seed)
-        cat = enumerate_perfect_matchings(g)
-        res = odd_covering_number(g, cat, cap=5)
-        if res.status != "ok":
-            continue
-        base = res.witness.members
-        pad = tuple(rng.choice(range(cat.count)) for _ in range(2)) * 2
-        padded = Covering.from_indices(
-            cat, base + pad[:2] + pad[:2], CoveringKind.ODD
-        )
-        assert reduce_odd_covering(padded).members == base
-        reduced_count += 1
-    assert reduced_count >= 10

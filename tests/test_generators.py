@@ -18,7 +18,6 @@ from pmcover.generators import (
     k4,
     k33,
     named_graph,
-    permutation_defining_two_factor,
     permutation_graph,
     petersen,
     prism,
@@ -186,20 +185,6 @@ class TestPermutationGraphs:
         assert is_isomorphic(g, prism(5))
         cat = enumerate_perfect_matchings(g)
         assert covering_number(g, cat, cap=4).tau == 3
-
-    def test_defining_two_factor_recovered(self):
-        g = permutation_graph([2, 0, 3, 1, 4])
-        tf = permutation_defining_two_factor(g)
-        assert sorted(len(c) for c in tf.cycles) == [5, 5]
-        for cyc in tf.cycles:
-            # rings are chordless: on-cycle vertices have no extra adjacency
-            on = set(cyc)
-            chords = [
-                e
-                for e, (u, v) in enumerate(g.edges)
-                if u in on and v in on and e not in tf.cycle_edges[tf.cycles.index(cyc)]
-            ]
-            assert not chords
 
     def test_small_rings_rejected(self):
         with pytest.raises(ChordedCycle):
