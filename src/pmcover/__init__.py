@@ -35,7 +35,6 @@ from .coverings import (
     find_fr_triples,
     fr_structure,
     fulkerson_covering,
-    has_k_covering,
     odd_covering_from_four_covering,
     odd_covering_number,
 )
@@ -50,7 +49,6 @@ from .generators import (
     is_petersen,
     k4,
     k33,
-    named_graph,
     permutation_graph,
     petersen,
     prism,

@@ -22,36 +22,44 @@ from .coverings import (
 )
 from .errors import GraphError, CatalogError, CoveringError, InvalidParams, UnknownName
 from .generators import (
+    blanusa,
     flower_snark,
     generalized_blanusa,
     goldberg_graph,
-    named_graph,
+    k4,
+    k33,
     permutation_graph,
+    petersen,
+    prism,
     random_bridgeless_cubic,
+    theta,
 )
-from .graph6 import parse_graph6, to_graph6
+from .graph6 import iter_graph6_file, parse_graph6, to_graph6
 from .graphs import find_bridges
 from .matchings import enumerate_perfect_matchings, matching_line
 from .scan import run_scan
 from .verify import run_all
 
 
-# the fewest and the most parameters each generator takes; random's
+# name -> (constructor, fewest parameters, most parameters); random's
 # optional second parameter is its seed
-_PARAM_COUNTS = {
-    "petersen": (0, 0), "k4": (0, 0), "k33": (0, 0), "theta": (0, 0),
-    "blanusa1": (0, 0), "blanusa2": (0, 0), "tau5odd": (0, 0),
-    "prism": (1, 1), "flower": (1, 1), "goldberg": (1, 1), "perm": (1, 1),
-    "gblanusa": (2, 2), "random": (1, 2),
+GENERATORS = {
+    "petersen": (petersen, 0, 0), "k4": (k4, 0, 0), "k33": (k33, 0, 0),
+    "theta": (theta, 0, 0), "blanusa1": (lambda: blanusa(1), 0, 0),
+    "blanusa2": (lambda: blanusa(2), 0, 0), "tau5odd": (tau5odd_example, 0, 0),
+    "prism": (prism, 1, 1), "flower": (flower_snark, 1, 1),
+    "goldberg": (goldberg_graph, 1, 1), "gblanusa": (generalized_blanusa, 2, 2),
+    "perm": (lambda *sigma: permutation_graph(sigma), 1, 1),
+    "random": (random_bridgeless_cubic, 1, 2),
 }
 
 
 def _generate(spec: str, seed: int | None = None):
     name, _, rest = spec.partition(":")
     args = [p for p in rest.split(":") if p] if rest else []
-    if name not in _PARAM_COUNTS:
+    if name not in GENERATORS:
         raise UnknownName(f"unknown generator spec {spec!r}")
-    least, most = _PARAM_COUNTS[name]
+    make, least, most = GENERATORS[name]
     if not least <= len(args) <= most:
         takes = most if least == most else f"{least} to {most}"
         raise InvalidParams(
@@ -67,35 +75,19 @@ def _generate(spec: str, seed: int | None = None):
                 f"generator {name!r}: parameter {text!r} is not an integer"
             ) from None
 
-    if name in ("petersen", "k4", "k33", "theta", "blanusa1", "blanusa2"):
-        return named_graph(name)
-    if name == "prism":
-        return named_graph("prism", num(args[0]))
-    if name == "flower":
-        return flower_snark(num(args[0]))
-    if name == "goldberg":
-        return goldberg_graph(num(args[0]))
-    if name == "gblanusa":
-        return generalized_blanusa(num(args[0]), num(args[1]))
-    if name == "perm":
-        sigma = [num(x) for x in args[0].split(",")]
-        return permutation_graph(sigma)
-    if name == "random":
-        n = num(args[0])
-        chosen = num(args[1]) if len(args) > 1 else (seed if seed is not None else 0)
-        return random_bridgeless_cubic(n, chosen)
-    return tau5odd_example()  # the only name in _PARAM_COUNTS left
+    # perm's one parameter is the comma-separated permutation
+    values = [num(x) for x in (args[0].split(",") if name == "perm" else args)]
+    if name == "random" and len(values) == 1:
+        values.append(0 if seed is None else seed)
+    return make(*values)
 
 
 def _resolve(spec: str, seed: int | None = None):
-    path = Path(spec)
-    if path.exists() and path.is_file():
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    return parse_graph6(line)
-        raise GraphError(f"no graph6 line in {spec}")
+    if Path(spec).is_file():
+        line = next(iter_graph6_file(spec), None)
+        if line is None:
+            raise GraphError(f"no graph6 line in {spec}")
+        return parse_graph6(line)
     try:
         return _generate(spec, seed)
     except UnknownName:
@@ -183,10 +175,13 @@ def _cmd_fulkerson(args) -> int:
     catalog = enumerate_perfect_matchings(g, args.max_pm)
     cov = fulkerson_covering(g, catalog)
     if cov is None:
+        # a bridged graph has an edge in no perfect matching, and the
+        # double-cover conjecture is about bridgeless graphs
         bridges = len(find_bridges(g))
-        if bridges:
-            # a bridged graph has an edge in no perfect matching, and the
-            # double-cover conjecture is about bridgeless graphs
+        if args.json:
+            status = "infeasible" if bridges else "none_exists"
+            print(json.dumps({"status": status, "bridges": bridges}))
+        elif bridges:
             print(
                 f"NO FULKERSON COVERING: {bridges} bridge(s), "
                 "so some edge lies in no perfect matching"
@@ -349,8 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--cap", type=int, default=6)
     p.add_argument("--odd-cap", type=int, default=7)
-    p.add_argument("--timeout-s", type=float, default=60.0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--timeout-s", type=float, default=60.0,
+        help="time limit per graph in seconds; 0 means no limit",
+    )
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--max-pm", type=int, default=None)
     p.set_defaults(func=_cmd_scan)
 

@@ -8,18 +8,8 @@ solvers can assert cut-based facts without re-deriving the construction.
 from __future__ import annotations
 
 from .errors import BadEdgeIndex, BadVertex, ConstructionFailed
-from .graphs import CubicGraph, EdgeSet, find_bridges
+from .graphs import CubicGraph, edges_joining, find_bridges
 from .generators import petersen, theta
-
-
-def _cut_from_pairs(g: CubicGraph, pairs: list[tuple[int, int]]) -> EdgeSet:
-    used: set[int] = set()
-    for u, v in pairs:
-        ids = [e for e in g.edge_ids_between(u, v) if e not in used]
-        if not ids:
-            raise ConstructionFailed(f"linking edge {u}-{v} missing from result")
-        used.add(ids[0])
-    return g.edge_set(used)
 
 
 def two_cut_join(
@@ -46,7 +36,7 @@ def two_cut_join(
     edges += links
     out = CubicGraph(g1.n + g2.n, edges)
     return CubicGraph(
-        out.n, out.edges, principal_cuts=(_cut_from_pairs(out, links),)
+        out.n, out.edges, principal_cuts=(edges_joining(out, links),)
     )
 
 
@@ -82,7 +72,7 @@ def three_cut_join(
     edges += links
     out = CubicGraph(g1.n + g2.n - 2, edges)
     return CubicGraph(
-        out.n, out.edges, principal_cuts=(_cut_from_pairs(out, links),)
+        out.n, out.edges, principal_cuts=(edges_joining(out, links),)
     )
 
 
@@ -133,7 +123,7 @@ def k4_composition(
             for idx, (i, _, j, _) in enumerate(_K4_LINKS)
             if b in (i, j)
         ]
-        cuts.append(_cut_from_pairs(out, touching))
+        cuts.append(edges_joining(out, touching))
     return CubicGraph(out.n, out.edges, principal_cuts=tuple(cuts))
 
 

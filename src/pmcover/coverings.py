@@ -32,6 +32,7 @@ from .graphs import (
     cyclic_connectivity_at_least,
     find_bridges,
     is_perfect_matching,
+    walk_cycles,
 )
 from .matchings import (
     PMCatalog,
@@ -247,17 +248,6 @@ def covering_number(g: CubicGraph, catalog: PMCatalog, cap: int = 6) -> TauResul
     return TauResult("exceeds", cap)
 
 
-def has_k_covering(g: CubicGraph, catalog: PMCatalog, k: int) -> bool:
-    """Existence probe for a plain covering of size k (no witness)."""
-    check_catalog(g, catalog)
-    full = (1 << g.m) - 1
-    if catalog.union != full:
-        return False
-    return _min_cover_exists(
-        catalog.masks, catalog.by_edge, full, k, 0, 0, g.n // 2
-    )
-
-
 def covering_multiplicities(cov: Covering) -> MultiplicityReport:
     """Per-edge multiplicities of a plain 4-covering.
 
@@ -308,51 +298,19 @@ def fr_structure(
     covered = m1 | m2 | m3
     single = covered & ~double
     uncovered = full & ~covered
-    cycles = _trace_alternating_cycles(g, uncovered, double)
+    cycles, cycle_edges = walk_cycles(g, uncovered | double)
+    for verts, edges in zip(cycles, cycle_edges):
+        assert len(verts) % 2 == 0, "alternating cycle of odd length"
+        for a, b in zip(edges, edges[1:] + edges[:1]):
+            assert (uncovered >> a) & 1 != (uncovered >> b) & 1, (
+                "T0 and T2 edges fail to alternate"
+            )
     return FRStructure(
         EdgeSet(g.m, uncovered),
         EdgeSet(g.m, single),
         EdgeSet(g.m, double),
         cycles,
     )
-
-
-def _trace_alternating_cycles(
-    g: CubicGraph, uncovered: int, double: int
-) -> tuple[tuple[int, ...], ...]:
-    active = uncovered | double
-    deg = [0] * g.n
-    inc: list[list[int]] = [[] for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges):
-        if (active >> e) & 1:
-            deg[u] += 1
-            deg[v] += 1
-            inc[u].append(e)
-            inc[v].append(e)
-    assert all(d in (0, 2) for d in deg), "T0 ∪ T2 is not 2-regular where present"
-    seen_edge = 0
-    cycles = []
-    for start in range(g.n):
-        if deg[start] != 2 or any((seen_edge >> e) & 1 for e in inc[start]):
-            continue
-        verts = [start]
-        edge = min(inc[start])
-        path_edges = [edge]
-        seen_edge |= 1 << edge
-        v = g.other_end(edge, start)
-        while v != start:
-            verts.append(v)
-            nxt = inc[v][0] if inc[v][1] == edge else inc[v][1]
-            edge = nxt
-            path_edges.append(edge)
-            seen_edge |= 1 << edge
-            v = g.other_end(edge, v)
-        assert len(verts) % 2 == 0, "alternating cycle of odd length"
-        for a, b in zip(path_edges, path_edges[1:] + path_edges[:1]):
-            in_a, in_b = (uncovered >> a) & 1, (uncovered >> b) & 1
-            assert in_a != in_b, "T0 and T2 edges fail to alternate"
-        cycles.append(tuple(verts))
-    return tuple(cycles)
 
 
 # Counting the minimum odd coverings visits every subset of that size
@@ -566,13 +524,16 @@ def analyze_graph(
     """Full per-graph report as a JSON-ready dict, plus a status string.
 
     Status is "ok", "infeasible" (some edge lies in no perfect matching) or
-    "timeout".  The ``deadline`` (a ``time.monotonic()`` value) bounds every
-    phase, PM enumeration and cyclic connectivity included; it is enforced
-    by SIGALRM, so it works on POSIX in the main thread only and raises
-    ValueError in any other thread or while the caller's own real interval
-    timer is armed.  A timeout keeps the fields finished before it; the rest
-    stay None, never guessed.
+    "timeout".  tau is reported only up to ``cap`` (at least 3), while
+    berge5 (tau <= 5) is decided at every cap.  The ``deadline`` (a
+    ``time.monotonic()`` value) bounds every phase, PM enumeration and
+    cyclic connectivity included; it is enforced by SIGALRM, so it works on
+    POSIX in the main thread only and raises ValueError in any other thread
+    or while the caller's own real interval timer is armed.  A timeout keeps
+    the fields finished before it; the rest stay None, never guessed.
     """
+    if cap < 3:
+        raise InvalidParams("cap must be at least 3")
     metrics: dict = {key: None for key in REPORT_FIELDS}
     metrics["n"], metrics["m"] = g.n, g.m
     metrics["tau_cap"] = cap
@@ -588,10 +549,11 @@ def analyze_graph(
                 stats = pm_pair_stats(catalog)
                 metrics["b"] = stats.min_intersection
                 metrics["max_two_pm_union"] = stats.max_union
-            tau = covering_number(g, catalog, cap)
+            # one search decides tau up to cap and berge5 (tau <= 5)
+            tau = covering_number(g, catalog, max(cap, 5))
             if tau.status == "infeasible":
                 status = "infeasible"
-            elif tau.status == "ok":
+            elif tau.status == "ok" and tau.tau <= cap:
                 metrics["tau"] = tau.tau
             odd = odd_covering_number(g, catalog, odd_cap)
             if odd.status == "ok":
@@ -599,14 +561,7 @@ def analyze_graph(
                 metrics["tau_odd_count"] = odd.count_minimum
             elif odd.status == "none_exists":
                 metrics["tau_odd_count"] = 0
-            if status == "infeasible":
-                metrics["berge5"] = False
-            elif metrics["tau"] is not None:
-                metrics["berge5"] = metrics["tau"] <= 5
-            elif cap >= 5:
-                metrics["berge5"] = False
-            else:
-                metrics["berge5"] = has_k_covering(g, catalog, 5)
+            metrics["berge5"] = tau.tau is not None and tau.tau <= 5
             metrics["fr_triple"] = bool(find_fr_triples(catalog, limit=1))
             metrics["fulkerson"] = fulkerson_covering(g, catalog) is not None
     except DeadlineExceeded:

@@ -14,11 +14,12 @@ from .errors import (
     ConstructionFailed,
     EvenK,
     InvalidParams,
-    UnknownName,
 )
 from .graphs import (
     CubicGraph,
+    EdgeSet,
     TwoFactor,
+    edges_joining,
     find_bridges,
     is_isomorphic,
     is_perfect_matching,
@@ -85,25 +86,6 @@ def blanusa(which: int) -> CubicGraph:
     if which == 2:
         return CubicGraph(18, BLANUSA2_EDGES)
     raise InvalidParams("Blanusa snark index must be 1 or 2")
-
-
-def named_graph(name: str, param: int | None = None) -> CubicGraph:
-    """Look up a named graph; `prism` takes its cycle length as param."""
-    table = {
-        "petersen": petersen,
-        "k4": k4,
-        "k33": k33,
-        "theta": theta,
-        "blanusa1": lambda: blanusa(1),
-        "blanusa2": lambda: blanusa(2),
-    }
-    if name == "prism":
-        if param is None:
-            raise InvalidParams("prism needs a cycle length parameter")
-        return prism(param)
-    if name in table:
-        return table[name]()
-    raise UnknownName(f"no graph named {name!r}")
 
 
 def _require_odd(k: int) -> None:
@@ -174,10 +156,7 @@ def goldberg_graph(k: int) -> CubicGraph:
             (8 * i + 7, 8 * j + 2),  # h_i - c_{i+1}
         ]
     g = CubicGraph(8 * k, edges)
-    for cyc in goldberg_proof_cycles(k):
-        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
-            if not g.edge_ids_between(u, v):
-                raise ConstructionFailed(f"block wiring broke cycle edge {u}-{v}")
+    two_factor_from_cycles(g, goldberg_proof_cycles(k))  # checks the wiring
     return g
 
 
@@ -208,14 +187,10 @@ def two_factor_from_cycles(
     Raises ConstructionFailed unless the sequences are genuine cycles of g
     whose complement is a perfect matching.
     """
-    used: set[int] = set()
-    for cyc in cycles:
-        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
-            ids = [e for e in g.edge_ids_between(u, v) if e not in used]
-            if not ids:
-                raise ConstructionFailed(f"no unused edge {u}-{v} in the graph")
-            used.add(ids[0])
-    pm = g.edge_set(e for e in range(g.m) if e not in used)
+    used = edges_joining(
+        g, (pair for cyc in cycles for pair in zip(cyc, cyc[1:] + cyc[:1]))
+    )
+    pm = EdgeSet(g.m, ((1 << g.m) - 1) & ~used.bits)
     if not is_perfect_matching(g, pm):
         raise ConstructionFailed("cycle complement is not a perfect matching")
     return two_factor_of(g, pm)

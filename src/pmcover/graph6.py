@@ -102,8 +102,12 @@ def to_graph6(g: CubicGraph) -> str:
 
 
 def iter_graph6_file(path: str | Path) -> Iterator[str]:
-    """Yield non-empty graph6 lines from a file."""
-    with open(path, "r", encoding="ascii") as fh:
+    """Yield non-empty graph6 lines from a file.
+
+    A non-ASCII byte is kept as a lone surrogate, so the line it is on fails
+    ``parse_graph6`` as an illegal character instead of failing the read.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for line in fh:
             line = line.strip()
             if line:

@@ -10,6 +10,11 @@ be shared freely between threads.
 Edge subsets (matchings, cuts, cycle edge sets) are ``EdgeSet`` values: a
 fixed-width bit vector over edge indices backed by a plain int.
 
+The cycles of an edge set whose degrees are all 0 or 2 (a 2-factor, the
+alternating cycles of a Fan-Raspaud triple) come from one walker,
+``walk_cycles``, and vertex pairs become distinct edge ids through
+``edges_joining``.
+
 Every traversal walks one BFS forest (``_bfs_forest``): connectivity counts
 its roots, isomorphism maps vertices in its order, and bridges and cyclic
 connectivity read cuts off the cycle-space signatures of its edges
@@ -24,6 +29,7 @@ from typing import Iterable, Iterator
 
 from .errors import (
     BadEdgeIndex,
+    ConstructionFailed,
     Disconnected,
     NotCubic,
     NotPerfectMatching,
@@ -256,37 +262,56 @@ def is_perfect_matching(g: CubicGraph, pm: EdgeSet) -> bool:
     return seen == (1 << g.n) - 1
 
 
+def walk_cycles(
+    g: CubicGraph, bits: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The cycles of an edge set (a bitmask) whose degrees are all 0 or 2.
+
+    Returns vertex sequences and aligned edge sequences, edge k joining
+    vertex k to vertex k+1 (cyclically).  Each cycle starts at its minimum
+    vertex and steps along its smaller edge id, which (edges being sorted by
+    endpoints) also leads to its smaller neighbour; cycles are sorted by
+    their minimum vertex.
+    """
+    inc = [[e for e in g.incidence[v] if (bits >> e) & 1] for v in range(g.n)]
+    assert all(len(i) in (0, 2) for i in inc), "edge set has a degree-1 or -3 vertex"
+    seen = [False] * g.n
+    cycles: list[tuple[int, ...]] = []
+    cycle_edges: list[tuple[int, ...]] = []
+    for start in range(g.n):
+        if seen[start] or not inc[start]:
+            continue
+        verts, edges = [], []
+        v, e = start, inc[start][0]
+        while not seen[v]:
+            seen[v] = True
+            verts.append(v)
+            edges.append(e)
+            v = g.other_end(e, v)
+            f1, f2 = inc[v]
+            e = f2 if f1 == e else f1
+        cycles.append(tuple(verts))
+        cycle_edges.append(tuple(edges))
+    return tuple(cycles), tuple(cycle_edges)
+
+
 def two_factor_of(g: CubicGraph, pm: EdgeSet) -> TwoFactor:
     """Decompose the complement of a perfect matching into cycles."""
     if not is_perfect_matching(g, pm):
         raise NotPerfectMatching("edge set is not a perfect matching of the graph")
-    free = [tuple(e for e in g.incidence[v] if e not in pm) for v in range(g.n)]
-    visited = [False] * g.n
-    cycles: list[tuple[int, ...]] = []
-    cycle_edges: list[tuple[int, ...]] = []
-    for start in range(g.n):
-        if visited[start]:
-            continue
-        e1, e2 = free[start]
-        w1, w2 = g.other_end(e1, start), g.other_end(e2, start)
-        # move toward the smaller-indexed cycle neighbor; lower edge id on ties
-        first_edge = e1 if (w1, e1) <= (w2, e2) else e2
-        verts = [start]
-        edges = [first_edge]
-        visited[start] = True
-        prev_edge = first_edge
-        v = g.other_end(first_edge, start)
-        while v != start:
-            verts.append(v)
-            visited[v] = True
-            f1, f2 = free[v]
-            nxt = f2 if f1 == prev_edge else f1
-            edges.append(nxt)
-            prev_edge = nxt
-            v = g.other_end(nxt, v)
-        cycles.append(tuple(verts))
-        cycle_edges.append(tuple(edges))
-    return TwoFactor(g, pm, tuple(cycles), tuple(cycle_edges))
+    cycles, cycle_edges = walk_cycles(g, ((1 << g.m) - 1) & ~pm.bits)
+    return TwoFactor(g, pm, cycles, cycle_edges)
+
+
+def edges_joining(g: CubicGraph, pairs: Iterable[tuple[int, int]]) -> EdgeSet:
+    """One distinct edge per vertex pair, the smallest id not yet taken."""
+    used = 0
+    for u, v in pairs:
+        free = [e for e in g.edge_ids_between(u, v) if not (used >> e) & 1]
+        if not free:
+            raise ConstructionFailed(f"no unused edge {u}-{v} in the graph")
+        used |= 1 << free[0]
+    return EdgeSet(g.m, used)
 
 
 def _bfs_forest(g: CubicGraph) -> Iterator[tuple[int, int]]:

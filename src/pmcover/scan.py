@@ -130,7 +130,12 @@ def run_scan(
     analyzed again.  Per-graph failures become error records and never
     abort the scan.  Each record is written and flushed as soon as it and
     every record before it are done, in input order, also with jobs > 1.
+    A ``timeout_s`` of 0 or None means no time limit.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if timeout_s is not None and timeout_s < 0:
+        raise ValueError(f"timeout_s must be nonnegative, got {timeout_s}")
     output_path = Path(output_path)
     done: set[str] = set()
     if output_path.exists():

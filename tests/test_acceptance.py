@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from pmcover.cli import build_parser
+from pmcover.cli import GENERATORS, build_parser
 from pmcover.verify import (
     criterion_1_petersen,
     criterion_2_blanusa,
@@ -102,3 +102,10 @@ def test_readme_examples():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_names_every_generator_spec():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    listed = readme.split("Generator specs:", 1)[1].split("\n\n", 1)[0]
+    names = {spec.split(":")[0] for spec in re.findall(r"`([^`]+)`", listed)}
+    assert names == set(GENERATORS)

@@ -355,3 +355,50 @@ def test_analyze_handles_multigraph_generator_spec(capsys):
 def test_generator_spec_errors_are_reported(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 2 and message in err
+
+
+def test_fulkerson_json_reports_no_covering_as_json(capsys):
+    from test_graphs import bridged_double_k4
+
+    code, out, _ = run(capsys, "fulkerson", to_graph6(bridged_double_k4()), "--json")
+    assert code == 1
+    assert json.loads(out) == {"status": "infeasible", "bridges": 1}
+
+
+def test_scan_records_a_non_ascii_line_as_an_error(tmp_path):
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(b"I\xc3\xa9?GWWo?w\n" + to_graph6(prism(3)).encode() + b"\n")
+    out_file = tmp_path / "r.jsonl"
+    summary = run_scan(corpus, out_file, timeout_s=None)
+    assert summary.processed == 2 and summary.errors == 1
+    records = [ScanRecord.from_json(line) for line in out_file.read_text().splitlines()]
+    assert records[0].status == "error" and "illegal character" in records[0].error
+    assert records[1].status == "ok"
+    # the error record is found again on resume
+    assert run_scan(corpus, out_file, timeout_s=None).skipped == 2
+
+
+def test_analyze_non_ascii_file_is_a_graph6_error(tmp_path, capsys):
+    path = tmp_path / "g.g6"
+    path.write_bytes(b"\xc3\xa9\n")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert "illegal character" in err and "codec" not in err
+
+
+@pytest.mark.parametrize(
+    "kwargs,flag,message",
+    [({"jobs": 0}, ("--jobs", "0"), "jobs must be at least 1, got 0"),
+     ({"timeout_s": -1.0}, ("--timeout-s", "-1"),
+      "timeout_s must be nonnegative, got -1.0")],
+    ids=["jobs-0", "timeout-negative"],
+)
+def test_scan_rejects_bad_jobs_and_timeout(tmp_path, capsys, kwargs, flag, message):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(to_graph6(prism(3)) + "\n")
+    out_file = tmp_path / "r.jsonl"
+    with pytest.raises(ValueError, match=message):
+        run_scan(corpus, out_file, **kwargs)
+    code, _, err = run(capsys, "scan", str(corpus), str(out_file), *flag)
+    assert code == 2 and message in err
+    assert not out_file.exists()

@@ -39,7 +39,6 @@ from pmcover.coverings import (
     find_fr_triples,
     fr_structure,
     fulkerson_covering,
-    has_k_covering,
     odd_covering_from_four_covering,
     odd_covering_number,
 )
@@ -463,8 +462,25 @@ class TestAnalyze:
 
     def test_has_k_covering_probe(self):
         g, cat = catalog_of(petersen())
-        assert not has_k_covering(g, cat, 4)
-        assert has_k_covering(g, cat, 5)
+        assert covering_number(g, cat, cap=4).status == "exceeds"
+        assert covering_number(g, cat, cap=5).tau == 5
+
+    @pytest.mark.parametrize(
+        "graph,cap", [(petersen(), 4), (blanusa(1), 3)], ids=["petersen-4", "blanusa1-3"]
+    )
+    def test_cap_below_tau_reports_no_tau_but_decides_berge5(self, graph, cap):
+        metrics, status = analyze_graph(graph, cap=cap)
+        assert status == "ok" and metrics["tau_cap"] == cap
+        assert metrics["tau"] is None and metrics["berge5"] is True
+
+    @pytest.mark.parametrize("cap", [3, 4, 6])
+    def test_bridged_graph_fails_berge5_at_every_cap(self, cap):
+        metrics, status = analyze_graph(bridged_double_k4(), cap=cap)
+        assert status == "infeasible" and metrics["berge5"] is False
+
+    def test_cap_below_3_rejected(self):
+        with pytest.raises(InvalidParams):
+            analyze_graph(petersen(), cap=2)
 
 
 class TestCatalogFreeCoverings:

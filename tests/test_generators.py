@@ -1,5 +1,6 @@
 import pytest
 
+from pmcover.cli import GENERATORS, _generate
 from pmcover.edge_coloring import is_three_edge_colorable, three_edge_coloring
 from pmcover.errors import (
     ChordedCycle,
@@ -17,7 +18,6 @@ from pmcover.generators import (
     is_petersen,
     k4,
     k33,
-    named_graph,
     permutation_graph,
     petersen,
     prism,
@@ -75,12 +75,13 @@ class TestNamedGraphs:
             assert not find_bridges(g)
 
     def test_lookup(self):
-        assert named_graph("petersen") == petersen()
-        assert named_graph("prism", 4) == prism(4)
+        assert GENERATORS["petersen"][0]() == petersen()
+        assert GENERATORS["prism"][0](4) == prism(4)
+        assert _generate("prism:4") == prism(4)
         with pytest.raises(UnknownName):
-            named_graph("heawood")
+            _generate("heawood")
         with pytest.raises(InvalidParams):
-            named_graph("prism")
+            _generate("prism")
 
 
 class TestBlanusa:
