@@ -1,20 +1,28 @@
 """Command-line interface.
 
-Graph arguments accept a generator spec (``petersen``, ``flower:5``,
-``random:14:7``), a path to a graph6 file (first line is used), or a raw
-graph6 literal.  Exit codes: 0 success, 1 check failure, 2 usage error,
-3 I/O error.
+A graph argument is tried as a path to a graph6 file (first line is used),
+then as a generator spec (``petersen``, ``flower:5``, ``random:14:7``), then
+as a raw graph6 literal; a directory is an I/O error.  The graph commands
+(``analyze``, ``tau``, ``tau-odd``, ``fulkerson``, ``enumerate-pm``) share
+one loader and one printer: each prints a JSON payload with ``--json`` and
+text lines without, and with ``--max-pm N`` a graph with more than N perfect
+matchings is a usage error.  Every shared option is declared once, as an
+argparse parent parser.  Exit codes: 0 success, 1 check failure, 2 usage
+error, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
-from pathlib import Path
 
 from .compositions import k4_composition, tau5odd_example, three_cut_join, two_cut_join
 from .coverings import (
+    DEFAULT_CAP,
+    DEFAULT_ODD_CAP,
     analyze_graph,
     covering_number,
     fulkerson_covering,
@@ -37,7 +45,7 @@ from .generators import (
 from .graph6 import iter_graph6_file, parse_graph6, to_graph6
 from .graphs import find_bridges
 from .matchings import enumerate_perfect_matchings, matching_line
-from .scan import run_scan
+from .scan import DEFAULT_TIMEOUT_S, run_scan
 from .verify import run_all
 
 
@@ -54,6 +62,13 @@ GENERATORS = {
 }
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParams(f"{what} {text!r} is not an integer") from None
+
+
 def _generate(spec: str, seed: int | None = None):
     name, _, rest = spec.partition(":")
     args = [p for p in rest.split(":") if p] if rest else []
@@ -66,24 +81,16 @@ def _generate(spec: str, seed: int | None = None):
             f"generator {name!r} takes {takes} "
             f"parameter{'' if most == 1 else 's'}, got {len(args)}"
         )
-
-    def num(text: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise InvalidParams(
-                f"generator {name!r}: parameter {text!r} is not an integer"
-            ) from None
-
     # perm's one parameter is the comma-separated permutation
-    values = [num(x) for x in (args[0].split(",") if name == "perm" else args)]
+    params = args[0].split(",") if name == "perm" else args
+    values = [_int(x, f"generator {name!r}: parameter") for x in params]
     if name == "random" and len(values) == 1:
         values.append(0 if seed is None else seed)
     return make(*values)
 
 
 def _resolve(spec: str, seed: int | None = None):
-    if Path(spec).is_file():
+    if os.path.isfile(spec):
         line = next(iter_graph6_file(spec), None)
         if line is None:
             raise GraphError(f"no graph6 line in {spec}")
@@ -93,6 +100,8 @@ def _resolve(spec: str, seed: int | None = None):
     except UnknownName:
         if ":" in spec:  # never a graph6 character
             raise
+    if os.path.isdir(spec):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), spec)
     return parse_graph6(spec)
 
 
@@ -112,111 +121,86 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    g = _resolve(args.graph, args.seed)
-    metrics, status = analyze_graph(
-        g, cap=args.cap, odd_cap=args.odd_cap, max_matchings=args.max_pm
-    )
-    if args.json:
-        print(json.dumps({"status": status, "metrics": metrics}))
-    else:
-        print(f"status: {status}")
-        for key, value in metrics.items():
-            print(f"{key}: {value}")
-    return 0
+# The graph commands map (graph, catalog, args) to (exit code, JSON payload,
+# text lines); _cmd_graph loads their input and prints their output.
+def _analyze(g, catalog, args):
+    metrics, status = analyze_graph(g, args.cap, args.odd_cap, args.max_pm)
+    lines = [f"status: {status}"] + [f"{k}: {v}" for k, v in metrics.items()]
+    return 0, {"status": status, "metrics": metrics}, lines
 
 
-def _cmd_tau(args) -> int:
-    g = _resolve(args.graph, args.seed)
-    catalog = enumerate_perfect_matchings(g, args.max_pm)
-    result = covering_number(g, catalog, cap=args.cap)
+def _tau(g, catalog, args):
+    result = covering_number(g, catalog, args.cap)
     witness = list(result.witness.members) if result.witness else None
-    if args.json:
-        print(
-            json.dumps(
-                {"status": result.status, "tau": result.tau, "witness": witness}
-            )
-        )
-    elif result.status == "ok":
-        print(f"tau = {result.tau}  witness: {witness}")
+    if result.status == "ok":
+        line = f"tau = {result.tau}  witness: {witness}"
     else:
-        print(f"tau: {result.status} (cap {result.cap})")
-    return 0
+        line = f"tau: {result.status} (cap {result.cap})"
+    payload = {"status": result.status, "tau": result.tau, "witness": witness}
+    return 0, payload, [line]
 
 
-def _cmd_tau_odd(args) -> int:
-    g = _resolve(args.graph, args.seed)
-    catalog = enumerate_perfect_matchings(g, args.max_pm)
-    result = odd_covering_number(g, catalog, cap=args.odd_cap)
+def _tau_odd(g, catalog, args):
+    result = odd_covering_number(g, catalog, args.odd_cap)
     witness = list(result.witness.members) if result.witness else None
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "status": result.status,
-                    "tau_odd": result.size,
-                    "count_minimum": result.count_minimum,
-                    "witness": witness,
-                }
-            )
-        )
-    elif result.status == "ok":
-        print(
+    if result.status == "ok":
+        line = (
             f"tau_odd = {result.size}  minimum-size coverings: "
             f"{result.count_minimum}  witness: {witness}"
         )
     else:
-        print(f"tau_odd: {result.status} (cap {result.cap})")
-    return 0
+        line = f"tau_odd: {result.status} (cap {result.cap})"
+    payload = {
+        "status": result.status, "tau_odd": result.size,
+        "count_minimum": result.count_minimum, "witness": witness,
+    }
+    return 0, payload, [line]
 
 
-def _cmd_fulkerson(args) -> int:
-    g = _resolve(args.graph, args.seed)
-    catalog = enumerate_perfect_matchings(g, args.max_pm)
+def _fulkerson(g, catalog, args):
     cov = fulkerson_covering(g, catalog)
-    if cov is None:
-        # a bridged graph has an edge in no perfect matching, and the
-        # double-cover conjecture is about bridgeless graphs
-        bridges = len(find_bridges(g))
-        if args.json:
-            status = "infeasible" if bridges else "none_exists"
-            print(json.dumps({"status": status, "bridges": bridges}))
-        elif bridges:
-            print(
-                f"NO FULKERSON COVERING: {bridges} bridge(s), "
-                "so some edge lies in no perfect matching"
-            )
-        else:
-            print(
-                "NO FULKERSON COVERING EXISTS for this graph - "
-                "a counterexample to the double-cover conjecture; please re-check."
-            )
-        return 1
-    if args.json:
-        print(json.dumps({"members": list(cov.members)}))
-    else:
-        print(f"Fulkerson covering members: {list(cov.members)}")
-        for pm in cov.matchings:
-            print(matching_line(g, pm))
-    return 0
-
-
-def _cmd_enumerate(args) -> int:
-    g = _resolve(args.graph, args.seed)
-    catalog = enumerate_perfect_matchings(g, args.max_pm)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "count": catalog.count,
-                    "matchings": [matching_line(g, pm) for pm in catalog.matchings],
-                }
-            )
+    if cov is not None:
+        members = list(cov.members)
+        lines = [f"Fulkerson covering members: {members}"]
+        lines += [matching_line(g, pm) for pm in cov.matchings]
+        return 0, {"members": members}, lines
+    # a bridged graph has an edge in no perfect matching, and the
+    # double-cover conjecture is about bridgeless graphs
+    bridges = len(find_bridges(g))
+    if bridges:
+        line = (
+            f"NO FULKERSON COVERING: {bridges} bridge(s), "
+            "so some edge lies in no perfect matching"
         )
     else:
-        for pm in catalog.matchings:
-            print(matching_line(g, pm))
-    return 0
+        line = (
+            "NO FULKERSON COVERING EXISTS for this graph - "
+            "a counterexample to the double-cover conjecture; please re-check."
+        )
+    status = "infeasible" if bridges else "none_exists"
+    return 1, {"status": status, "bridges": bridges}, [line]
+
+
+def _enumerate(g, catalog, args):
+    lines = [matching_line(g, pm) for pm in catalog.matchings]
+    return 0, {"count": catalog.count, "matchings": lines}, lines
+
+
+def _cmd_graph(args) -> int:
+    """Load the graph and its catalog, run one graph command, print its report."""
+    g = _resolve(args.graph, args.seed)
+    # analyze_graph builds the catalog itself, as one of its phases
+    catalog = (
+        None if args.report is _analyze
+        else enumerate_perfect_matchings(g, args.max_pm)
+    )
+    code, payload, lines = args.report(g, catalog, args)
+    if args.json:
+        print(json.dumps(payload))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def _cmd_compose(args) -> int:
@@ -231,12 +215,7 @@ def _cmd_compose(args) -> int:
     def index(spec: str, g, text: str) -> int:
         # two-cut joins at an edge, three-cut and k4 at a vertex
         kind, size = ("edge", g.m) if op == "two-cut" else ("vertex", g.n)
-        try:
-            value = int(text)
-        except ValueError:
-            raise InvalidParams(
-                f"compose {op}: index {text!r} is not an integer"
-            ) from None
+        value = _int(text, f"compose {op}: index")
         if not 0 <= value < size:
             raise InvalidParams(
                 f"compose {op}: {kind} {value} of {spec!r} is out of range "
@@ -280,8 +259,11 @@ def _cmd_verify_paper(args) -> int:
     return 1 if failed else 0
 
 
-def _add_graph_arg(sub) -> None:
-    sub.add_argument("graph", help="generator spec, graph6 file, or graph6 literal")
+def _option(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one option for every command that takes it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,6 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="seed for random specs")
     sub = parser.add_subparsers(dest="command", required=True)
+    graph = _option("graph", help="generator spec, graph6 file, or graph6 literal")
+    cap = _option("--cap", type=int, default=DEFAULT_CAP)
+    odd_cap = _option("--odd-cap", type=int, default=DEFAULT_ODD_CAP)
+    max_pm = _option("--max-pm", type=int, default=None)
+    as_json = _option("--json", action="store_true")
 
     p = sub.add_parser("gen", help="emit a named or family graph")
     p.add_argument("name")
@@ -299,39 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g6", action="store_true", help="emit graph6")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("analyze", help="full covering report for one graph")
-    _add_graph_arg(p)
-    p.add_argument("--cap", type=int, default=6)
-    p.add_argument("--odd-cap", type=int, default=7)
-    p.add_argument("--max-pm", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("tau", help="perfect matching index")
-    _add_graph_arg(p)
-    p.add_argument("--cap", type=int, default=6)
-    p.add_argument("--max-pm", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_tau)
-
-    p = sub.add_parser("tau-odd", help="minimum odd covering size")
-    _add_graph_arg(p)
-    p.add_argument("--odd-cap", type=int, default=7)
-    p.add_argument("--max-pm", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_tau_odd)
-
-    p = sub.add_parser("fulkerson", help="search for a Fulkerson covering")
-    _add_graph_arg(p)
-    p.add_argument("--max-pm", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_fulkerson)
-
-    p = sub.add_parser("enumerate-pm", help="list all perfect matchings")
-    _add_graph_arg(p)
-    p.add_argument("--max-pm", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_enumerate)
+    for name, text, report, caps in (
+        ("analyze", "full covering report for one graph", _analyze, [cap, odd_cap]),
+        ("tau", "perfect matching index", _tau, [cap]),
+        ("tau-odd", "minimum odd covering size", _tau_odd, [odd_cap]),
+        ("fulkerson", "search for a Fulkerson covering", _fulkerson, []),
+        ("enumerate-pm", "list all perfect matchings", _enumerate, []),
+    ):
+        p = sub.add_parser(name, help=text, parents=[graph, *caps, max_pm, as_json])
+        p.set_defaults(func=_cmd_graph, report=report)
 
     p = sub.add_parser("compose", help="apply a graph composition operator")
     p.add_argument("operator", choices=["two-cut", "three-cut", "k4"])
@@ -339,17 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g6", action="store_true")
     p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("scan", help="analyze a graph6 corpus into JSONL records")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("--cap", type=int, default=6)
-    p.add_argument("--odd-cap", type=int, default=7)
-    p.add_argument(
-        "--timeout-s", type=float, default=60.0,
+    # a parent too, as argparse lists a parser's own options after its parents'
+    scan_args = argparse.ArgumentParser(add_help=False)
+    scan_args.add_argument("input")
+    scan_args.add_argument("output")
+    scan_args.add_argument(
+        "--timeout-s", type=float, default=DEFAULT_TIMEOUT_S,
         help="time limit per graph in seconds; 0 means no limit",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--max-pm", type=int, default=None)
+    scan_args.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p = sub.add_parser(
+        "scan", help="analyze a graph6 corpus into JSONL records",
+        parents=[cap, odd_cap, scan_args, max_pm],
+    )
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify-paper", help="run the acceptance suite")

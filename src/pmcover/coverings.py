@@ -226,15 +226,27 @@ def _lex_cover(
     return tuple(chosen)
 
 
-def covering_number(g: CubicGraph, catalog: PMCatalog, cap: int = 6) -> TauResult:
+# default caps of the two searches, analyze_graph, run_scan and the CLI
+DEFAULT_CAP = 6
+DEFAULT_ODD_CAP = 7
+
+
+def check_cap(cap: int) -> None:
+    """Raise InvalidParams unless ``cap`` is at least 3, the smallest tau."""
+    if cap < 3:
+        raise InvalidParams(f"cap must be at least 3, got {cap}")
+
+
+def covering_number(
+    g: CubicGraph, catalog: PMCatalog, cap: int = DEFAULT_CAP
+) -> TauResult:
     """Exact minimum number of catalog members whose union is E(g).
 
     Returns infeasible when some edge lies in no perfect matching (bridged
     graphs), and exceeds when the minimum is larger than ``cap``.
     """
     check_catalog(g, catalog)
-    if cap < 3:
-        raise InvalidParams("cap must be at least 3")
+    check_cap(cap)
     masks, by_edge = catalog.masks, catalog.by_edge
     full = (1 << g.m) - 1
     if catalog.union != full:
@@ -320,7 +332,7 @@ ODD_COUNT_MAX_CATALOG = 64
 
 
 def odd_covering_number(
-    g: CubicGraph, catalog: PMCatalog, cap: int = 7
+    g: CubicGraph, catalog: PMCatalog, cap: int = DEFAULT_ODD_CAP
 ) -> OddCoverResult:
     """Minimum size of a set of distinct matchings covering each edge oddly.
 
@@ -516,8 +528,8 @@ def _time_limit(deadline: float | None):
 
 def analyze_graph(
     g: CubicGraph,
-    cap: int = 6,
-    odd_cap: int = 7,
+    cap: int = DEFAULT_CAP,
+    odd_cap: int = DEFAULT_ODD_CAP,
     max_matchings: int | None = None,
     deadline: float | None = None,
 ) -> tuple[dict, str]:
@@ -532,8 +544,7 @@ def analyze_graph(
     or while the caller's own real interval timer is armed.  A timeout keeps
     the fields finished before it; the rest stay None, never guessed.
     """
-    if cap < 3:
-        raise InvalidParams("cap must be at least 3")
+    check_cap(cap)
     metrics: dict = {key: None for key in REPORT_FIELDS}
     metrics["n"], metrics["m"] = g.n, g.m
     metrics["tau_cap"] = cap

@@ -60,6 +60,11 @@ def check_catalog(g: CubicGraph, catalog: PMCatalog) -> None:
         raise CatalogMismatch("catalog was built for a different graph")
 
 
+def check_max_matchings(max_matchings: int | None) -> None:
+    if max_matchings is not None and max_matchings < 0:
+        raise ValueError(f"max_matchings must be nonnegative, got {max_matchings}")
+
+
 def enumerate_perfect_matchings(
     g: CubicGraph, max_matchings: int | None = None
 ) -> PMCatalog:
@@ -68,6 +73,7 @@ def enumerate_perfect_matchings(
     Backtracking: repeatedly saturate the lowest-indexed free vertex,
     branching over its incident edges in ascending index order.
     """
+    check_max_matchings(max_matchings)
     full = (1 << g.n) - 1
     incidence = g.incidence
     edges = g.edges

@@ -9,10 +9,13 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .coverings import analyze_graph
+from .coverings import DEFAULT_CAP, DEFAULT_ODD_CAP, analyze_graph, check_cap
 from .errors import GraphError, TooManyMatchings
 from .generators import is_petersen
 from .graph6 import iter_graph6_file, parse_graph6, to_graph6
+from .matchings import check_max_matchings
+
+DEFAULT_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -117,9 +120,9 @@ def _tau_at_least_5(record: ScanRecord, cap: int) -> bool:
 def run_scan(
     input_path: str | Path,
     output_path: str | Path,
-    cap: int = 6,
-    odd_cap: int = 7,
-    timeout_s: float | None = 60.0,
+    cap: int = DEFAULT_CAP,
+    odd_cap: int = DEFAULT_ODD_CAP,
+    timeout_s: float | None = DEFAULT_TIMEOUT_S,
     jobs: int = 1,
     max_matchings: int | None = None,
 ) -> ScanSummary:
@@ -130,8 +133,11 @@ def run_scan(
     analyzed again.  Per-graph failures become error records and never
     abort the scan.  Each record is written and flushed as soon as it and
     every record before it are done, in input order, also with jobs > 1.
-    A ``timeout_s`` of 0 or None means no time limit.
+    A ``timeout_s`` of 0 or None means no time limit.  Bad parameters raise
+    ValueError before the output is opened.
     """
+    check_cap(cap)
+    check_max_matchings(max_matchings)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if timeout_s is not None and timeout_s < 0:

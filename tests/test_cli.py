@@ -378,6 +378,17 @@ def test_scan_records_a_non_ascii_line_as_an_error(tmp_path):
     assert run_scan(corpus, out_file, timeout_s=None).skipped == 2
 
 
+def test_a_directory_is_an_io_error_not_a_graph6_literal(tmp_path, monkeypatch, capsys):
+    code, _, err = run(capsys, "analyze", str(tmp_path))
+    assert code == 3
+    assert f"Is a directory: '{tmp_path}'" in err and "illegal character" not in err
+    # a generator spec still wins over a directory of the same name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "petersen").mkdir()
+    code, out, _ = run(capsys, "tau", "petersen")
+    assert code == 0 and out == "tau = 5  witness: [0, 1, 2, 3, 4]\n"
+
+
 def test_analyze_non_ascii_file_is_a_graph6_error(tmp_path, capsys):
     path = tmp_path / "g.g6"
     path.write_bytes(b"\xc3\xa9\n")
@@ -390,8 +401,11 @@ def test_analyze_non_ascii_file_is_a_graph6_error(tmp_path, capsys):
     "kwargs,flag,message",
     [({"jobs": 0}, ("--jobs", "0"), "jobs must be at least 1, got 0"),
      ({"timeout_s": -1.0}, ("--timeout-s", "-1"),
-      "timeout_s must be nonnegative, got -1.0")],
-    ids=["jobs-0", "timeout-negative"],
+      "timeout_s must be nonnegative, got -1.0"),
+     ({"cap": 2}, ("--cap", "2"), "cap must be at least 3, got 2"),
+     ({"max_matchings": -1}, ("--max-pm", "-1"),
+      "max_matchings must be nonnegative, got -1")],
+    ids=["jobs-0", "timeout-negative", "cap-2", "max-pm-negative"],
 )
 def test_scan_rejects_bad_jobs_and_timeout(tmp_path, capsys, kwargs, flag, message):
     corpus = tmp_path / "c.g6"
@@ -402,3 +416,55 @@ def test_scan_rejects_bad_jobs_and_timeout(tmp_path, capsys, kwargs, flag, messa
     code, _, err = run(capsys, "scan", str(corpus), str(out_file), *flag)
     assert code == 2 and message in err
     assert not out_file.exists()
+
+
+THETA_TEXT = (
+    "status: ok\nn: 2\nm: 3\npm_count: 3\ntau: 3\ntau_cap: 4\ntau_odd: 3\n"
+    "tau_odd_count: 1\nfulkerson: True\nberge5: True\nfr_triple: True\nb: 0\n"
+    "max_two_pm_union: 2\nbridges: 0\ncyclically4ec: True\n"
+)
+THETA_JSON = (
+    '{"status": "ok", "metrics": {"n": 2, "m": 3, "pm_count": 3, "tau": 3, '
+    '"tau_cap": 6, "tau_odd": 3, "tau_odd_count": 1, "fulkerson": true, '
+    '"berge5": true, "fr_triple": true, "b": 0, "max_two_pm_union": 2, '
+    '"bridges": 0, "cyclically4ec": true}}\n'
+)
+PETERSEN_PMS = (
+    "0-5 1-6 2-7 3-8 4-9\n0-1 2-3 4-9 5-7 6-8\n0-4 1-2 3-8 5-7 6-9\n"
+    "0-1 2-7 3-4 5-8 6-9\n0-4 1-6 2-3 5-8 7-9\n0-5 1-2 3-4 6-8 7-9\n"
+)
+NULLS = '"tau_odd": null, "count_minimum": null, "witness": null}\n'
+BRIDGED = "I}?GWWo?w"  # bridged_double_k4 from test_graphs
+
+
+@pytest.mark.parametrize(
+    "argv,code,stdout",
+    [(("analyze", "theta", "--cap", "4", "--odd-cap", "5"), 0, THETA_TEXT),
+     (("analyze", "theta", "--json"), 0, THETA_JSON),
+     (("tau", "petersen"), 0, "tau = 5  witness: [0, 1, 2, 3, 4]\n"),
+     (("tau", "petersen", "--json"), 0,
+      '{"status": "ok", "tau": 5, "witness": [0, 1, 2, 3, 4]}\n'),
+     (("tau", "petersen", "--cap", "4"), 0, "tau: exceeds (cap 4)\n"),
+     (("tau", "petersen", "--cap", "4", "--json"), 0,
+      '{"status": "exceeds", "tau": null, "witness": null}\n'),
+     (("tau-odd", "k4"), 0,
+      "tau_odd = 3  minimum-size coverings: 1  witness: [0, 1, 2]\n"),
+     (("tau-odd", "k4", "--json"), 0,
+      '{"status": "ok", "tau_odd": 3, "count_minimum": 1, "witness": [0, 1, 2]}\n'),
+     (("tau-odd", "k4", "--odd-cap", "1"), 0, "tau_odd: exceeds (cap 1)\n"),
+     (("tau-odd", "k4", "--odd-cap", "1", "--json"), 0,
+      '{"status": "exceeds", ' + NULLS),
+     (("tau-odd", "petersen"), 0, "tau_odd: none_exists (cap 7)\n"),
+     (("tau-odd", "petersen", "--json"), 0, '{"status": "none_exists", ' + NULLS),
+     (("fulkerson", "petersen"), 0,
+      "Fulkerson covering members: [0, 1, 2, 3, 4, 5]\n" + PETERSEN_PMS),
+     (("fulkerson", "petersen", "--json"), 0, '{"members": [0, 1, 2, 3, 4, 5]}\n'),
+     (("fulkerson", BRIDGED), 1,
+      "NO FULKERSON COVERING: 1 bridge(s), so some edge lies in no perfect matching\n"),
+     (("fulkerson", BRIDGED, "--json"), 1, '{"status": "infeasible", "bridges": 1}\n'),
+     (("enumerate-pm", "k4"), 0, "0-3 1-2\n0-2 1-3\n0-1 2-3\n"),
+     (("enumerate-pm", "k4", "--json"), 0,
+      '{"count": 3, "matchings": ["0-3 1-2", "0-2 1-3", "0-1 2-3"]}\n')],
+)
+def test_graph_command_output_is_pinned(capsys, argv, code, stdout):
+    assert run(capsys, *argv) == (code, stdout, "")

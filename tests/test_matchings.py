@@ -169,3 +169,8 @@ def test_matching_line_format():
 def test_max_matchings_abort():
     with pytest.raises(TooManyMatchings):
         enumerate_perfect_matchings(petersen(), max_matchings=3)
+
+
+def test_negative_max_matchings_rejected_even_without_matchings():
+    with pytest.raises(ValueError, match="max_matchings must be nonnegative, got -1"):
+        enumerate_perfect_matchings(matching_free_cubic(), max_matchings=-1)
