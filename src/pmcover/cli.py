@@ -2,7 +2,9 @@
 
 A graph argument is tried as a path to a graph6 file (first line is used),
 then as a generator spec (``petersen``, ``flower:5``, ``random:14:7``), then
-as a raw graph6 literal; a directory is an I/O error.  The graph commands
+as a raw graph6 literal.  A directory is an I/O error, and so is a spec that
+holds a character graph6 never uses and a "." or a path separator: a missing
+file.  The graph commands
 (``analyze``, ``tau``, ``tau-odd``, ``fulkerson``, ``enumerate-pm``) share
 one loader and one printer: each prints a JSON payload with ``--json`` and
 text lines without, and with ``--max-pm N`` a graph with more than N perfect
@@ -42,7 +44,7 @@ from .generators import (
     random_bridgeless_cubic,
     theta,
 )
-from .graph6 import iter_graph6_file, parse_graph6, to_graph6
+from .graph6 import could_be_graph6, iter_graph6_file, parse_graph6, to_graph6
 from .graphs import find_bridges
 from .matchings import enumerate_perfect_matchings, matching_line
 from .scan import DEFAULT_TIMEOUT_S, run_scan
@@ -97,11 +99,16 @@ def _resolve(spec: str, seed: int | None = None):
         return parse_graph6(line)
     try:
         return _generate(spec, seed)
-    except UnknownName:
+    except UnknownName as exc:
         if ":" in spec:  # never a graph6 character
             raise
+        unknown = exc
     if os.path.isdir(spec):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), spec)
+    if not could_be_graph6(spec):  # no literal: a missing file or a bad name
+        if "." in spec or os.sep in spec:  # e.g. "nonexist.g6"
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), spec)
+        raise unknown
     return parse_graph6(spec)
 
 

@@ -1,17 +1,28 @@
 """Exact solvers and verifiers for perfect matching coverings.
 
-Everything runs over a complete ``PMCatalog``: the covering number tau
-(branch-and-bound set cover), plain k-coverings, odd and even coverings
-(GF(2) feasibility plus subset search), Fulkerson coverings, Fan-Raspaud
-triples and the multiplicity structure of 4-coverings.  Searches are
-deterministic and always break ties toward the lexicographically smallest
-witness by sorted catalog indices.
+Everything runs over a complete ``PMCatalog``: the covering number tau,
+plain k-coverings, odd and even coverings (GF(2) feasibility plus subset
+search), Fulkerson coverings, Fan-Raspaud triples and the multiplicity
+structure of 4-coverings.  Searches are deterministic and always break ties
+toward the lexicographically smallest witness by sorted catalog indices.
+
+In a cubic graph each perfect matching has n/2 of the 3n/2 edges, and the
+covering searches use what that forces:
+
+* a 3-covering, plain or odd, partitions E, so none exists unless two
+  members are disjoint (b = 0, read off ``PMCatalog.pair_stats``);
+* every 3 members of a 4-covering form a Fan-Raspaud triple, so 4-coverings
+  are found by walking FR triples, and branch-and-bound set cover is left
+  for k >= 5;
+* tau = 4 gives tau_odd = 5: adding the doubly covered matching to a
+  4-covering makes it odd, and tau_odd is odd and at least tau.
 """
 
 from __future__ import annotations
 
 import signal
 import time
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -38,7 +49,6 @@ from .matchings import (
     PMCatalog,
     check_catalog,
     enumerate_perfect_matchings,
-    pm_pair_stats,
 )
 
 
@@ -226,9 +236,45 @@ def _lex_cover(
     return tuple(chosen)
 
 
+def _four_cover(
+    masks: tuple[int, ...],
+    by_edge: tuple[tuple[int, ...], ...],
+    full: int,
+) -> tuple[int, ...] | None:
+    """Lexicographically smallest 4-covering, given that no 3-covering exists.
+
+    Every 3 members of a 4-covering form an FR triple, so walking the FR
+    triples i<j<k in lex order and completing each with the smallest l > k
+    that contains T0, the edges the triple leaves uncovered, finds the
+    lex-smallest 4-covering first.
+    """
+    count = len(masks)
+    for i in range(count):
+        mi = masks[i]
+        for j in range(i + 1, count):
+            mij, cover_ij = mi & masks[j], mi | masks[j]
+            for k in range(j + 1, count):
+                mk = masks[k]
+                if mij & mk:
+                    continue
+                t0 = full & ~(cover_ij | mk)
+                # an FR triple covering E would be a 3-covering
+                assert t0, "3-covering reached the 4-covering search"
+                holders = by_edge[(t0 & -t0).bit_length() - 1]
+                for pos in range(bisect_right(holders, k), len(holders)):
+                    if masks[holders[pos]] & t0 == t0:
+                        return i, j, k, holders[pos]
+    return None
+
+
 # default caps of the two searches, analyze_graph, run_scan and the CLI
 DEFAULT_CAP = 6
 DEFAULT_ODD_CAP = 7
+
+
+def _has_disjoint_pair(catalog: PMCatalog) -> bool:
+    """b = 0: the precondition of a 3-covering, plain or odd, in a cubic graph."""
+    return catalog.count >= 2 and catalog.pair_stats.min_intersection == 0
 
 
 def check_cap(cap: int) -> None:
@@ -243,7 +289,11 @@ def covering_number(
     """Exact minimum number of catalog members whose union is E(g).
 
     Returns infeasible when some edge lies in no perfect matching (bridged
-    graphs), and exceeds when the minimum is larger than ``cap``.
+    graphs), and exceeds when the minimum is larger than ``cap``.  A
+    3-covering partitions E, so it is ruled out without search unless two
+    members are disjoint.  A 4-covering is found by walking FR triples
+    (``_four_cover``), and larger ones by branch-and-bound set cover.  The
+    witness is the lexicographically smallest covering in every case.
     """
     check_catalog(g, catalog)
     check_cap(cap)
@@ -253,7 +303,12 @@ def covering_number(
         return TauResult("infeasible", cap)
     half = g.n // 2
     for k in range(3, cap + 1):
-        witness_idx = _lex_cover(masks, by_edge, full, k, half)
+        if k == 3 and not _has_disjoint_pair(catalog):
+            continue
+        if k == 4:
+            witness_idx = _four_cover(masks, by_edge, full)
+        else:
+            witness_idx = _lex_cover(masks, by_edge, full, k, half)
         if witness_idx is not None:
             witness = Covering.from_indices(catalog, witness_idx, CoveringKind.PLAIN)
             return TauResult("ok", cap, k, witness)
@@ -339,22 +394,26 @@ def odd_covering_number(
     Feasibility is settled first over GF(2): an odd covering exists iff the
     all-ones vector lies in the span of the matching incidence vectors.  The
     search then scans odd sizes; a subset qualifies iff the XOR of its
-    members equals all-ones.  The number of minimum-size odd coverings is
-    reported when the instance is small enough (``ODD_COUNT_MAX_SIZE`` and
-    ``ODD_COUNT_MAX_CATALOG``).
+    members equals all-ones.  Size 3 is skipped unless two members are
+    disjoint: an odd 3-covering partitions E.  The number of minimum-size odd
+    coverings is reported when the instance is small enough
+    (``ODD_COUNT_MAX_SIZE`` and ``ODD_COUNT_MAX_CATALOG``).
     """
     check_catalog(g, catalog)
     masks = catalog.masks
     full = (1 << g.m) - 1
     if not gf2_in_span(masks, full):
         return OddCoverResult("none_exists", cap)
-    index_of = {mask: i for i, mask in enumerate(masks)}
     count = len(masks)
     for size in range(3, cap + 1, 2):
         if size > count:
             break
+        if size == 3 and not _has_disjoint_pair(catalog):
+            continue
         counting = size <= ODD_COUNT_MAX_SIZE and count <= ODD_COUNT_MAX_CATALOG
-        witness, found = _odd_subsets(masks, index_of, full, size, counting)
+        witness, found = _odd_subsets(
+            masks, catalog.index_by_mask, full, size, counting
+        )
         if witness is not None:
             cov = Covering.from_indices(catalog, witness, CoveringKind.ODD)
             return OddCoverResult(
@@ -543,6 +602,10 @@ def analyze_graph(
     POSIX in the main thread only and raises ValueError in any other thread
     or while the caller's own real interval timer is armed.  A timeout keeps
     the fields finished before it; the rest stay None, never guessed.
+
+    When tau = 4 and the catalog is too large for ``tau_odd_count``, tau_odd
+    is 5 without an odd search: a 4-covering plus its doubly covered matching
+    is an odd 5-covering, and tau_odd is odd and at least tau.
     """
     check_cap(cap)
     metrics: dict = {key: None for key in REPORT_FIELDS}
@@ -557,7 +620,7 @@ def analyze_graph(
             catalog = enumerate_perfect_matchings(g, max_matchings)
             metrics["pm_count"] = catalog.count
             if catalog.count >= 2:
-                stats = pm_pair_stats(catalog)
+                stats = catalog.pair_stats
                 metrics["b"] = stats.min_intersection
                 metrics["max_two_pm_union"] = stats.max_union
             # one search decides tau up to cap and berge5 (tau <= 5)
@@ -566,7 +629,15 @@ def analyze_graph(
                 status = "infeasible"
             elif tau.status == "ok" and tau.tau <= cap:
                 metrics["tau"] = tau.tau
-            odd = odd_covering_number(g, catalog, odd_cap)
+            if (
+                tau.tau == 4
+                and odd_cap >= 5
+                and catalog.count > ODD_COUNT_MAX_CATALOG
+            ):
+                odd5 = odd_covering_from_four_covering(tau.witness)
+                odd = OddCoverResult("ok", odd_cap, odd5.size, odd5)
+            else:
+                odd = odd_covering_number(g, catalog, odd_cap)
             if odd.status == "ok":
                 metrics["tau_odd"] = odd.size
                 metrics["tau_odd_count"] = odd.count_minimum

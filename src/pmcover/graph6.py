@@ -45,20 +45,36 @@ def _encode_size(n: int) -> str:
     raise MalformedGraph6(f"vertex count {n} too large for this encoder")
 
 
+def _body(text: str) -> str:
+    """A graph6 line stripped of whitespace and of the optional header."""
+    s = text.strip()
+    if s.startswith(_HEADER):
+        s = s[len(_HEADER):].strip()
+    return s
+
+
+def _illegal_char(s: str) -> str | None:
+    """The first character graph6 never uses (outside '?'..'~'), if any."""
+    return next((ch for ch in s if not 63 <= ord(ch) <= 126), None)
+
+
+def could_be_graph6(text: str) -> bool:
+    """Whether the line uses only characters graph6 uses, header aside."""
+    return _illegal_char(_body(text)) is None
+
+
 def parse_graph6(text: str) -> CubicGraph:
     """Parse one graph6 line into a CubicGraph.
 
     Raises MalformedGraph6 for encoding problems and NotCubic when the
     encoded graph is not 3-regular.
     """
-    s = text.strip()
-    if s.startswith(_HEADER):
-        s = s[len(_HEADER):].strip()
+    s = _body(text)
     if not s:
         raise MalformedGraph6("empty graph6 line")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise MalformedGraph6(f"illegal character {ch!r}")
+    ch = _illegal_char(s)
+    if ch is not None:
+        raise MalformedGraph6(f"illegal character {ch!r}")
     n, rest = _decode_size(s)
     nbits = n * (n - 1) // 2
     expected = (nbits + 5) // 6

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CatalogMismatch, FewerThanTwoMatchings, TooManyMatchings
-from .graphs import CubicGraph, EdgeSet
+from .graphs import CubicGraph, EdgeSet, _bfs_forest
 
 
 @dataclass(frozen=True)
@@ -15,8 +15,8 @@ class PMCatalog:
 
     Matchings are sorted by ascending bit pattern, so catalog indices are
     deterministic across runs.  The derived views every solver reads
-    (``masks``, ``by_edge``, ``union``) are each built at most once, on
-    first access.
+    (``masks``, ``by_edge``, ``union``, ``index_by_mask``, ``pair_stats``)
+    are each built at most once, on first access.
     """
 
     graph: CubicGraph
@@ -50,9 +50,41 @@ class PMCatalog:
             bits |= mask
         return bits
 
+    @cached_property
+    def index_by_mask(self) -> dict[int, int]:
+        """The catalog index of each member's bitmask."""
+        return {mask: i for i, mask in enumerate(self.masks)}
+
     def index_of(self, pm: EdgeSet) -> int:
         """Catalog index of a matching (ValueError if absent)."""
-        return self.matchings.index(pm)
+        i = self.index_by_mask.get(pm.bits) if pm.width == self.graph.m else None
+        if i is None:
+            raise ValueError(f"{pm!r} is not in the catalog")
+        return i
+
+    @cached_property
+    def pair_stats(self) -> PairStats:
+        """Extremes of the pair intersections and unions, lex-smallest witnesses.
+
+        Every perfect matching has n/2 edges, so |Mi ∪ Mj| = n - |Mi ∩ Mj|:
+        the pair of least intersection is also the pair of largest union.
+        The first disjoint pair ends the scan: no pair can beat it, and every
+        earlier pair comes first in lex order.
+        """
+        if self.count < 2:
+            raise FewerThanTwoMatchings("need at least two perfect matchings")
+        masks = self.masks
+        best = self.graph.n  # above any intersection, which has <= n/2 edges
+        best_pair = (0, 1)
+        for i, mi in enumerate(masks):
+            for j in range(i + 1, len(masks)):
+                inter = (mi & masks[j]).bit_count()
+                if inter < best:
+                    best = inter
+                    best_pair = (i, j)
+                    if inter == 0:
+                        return PairStats(0, best_pair, self.graph.n, best_pair)
+        return PairStats(best, best_pair, self.graph.n - best, best_pair)
 
 
 def check_catalog(g: CubicGraph, catalog: PMCatalog) -> None:
@@ -70,13 +102,23 @@ def enumerate_perfect_matchings(
 ) -> PMCatalog:
     """All perfect matchings, each exactly once, canonically sorted.
 
-    Backtracking: repeatedly saturate the lowest-indexed free vertex,
-    branching over its incident edges in ascending index order.
+    Backtracking: repeatedly saturate the first free vertex in BFS-forest
+    order, branching over its incident edges.  Following the BFS order keeps
+    the saturated region connected, so few branches strand a free vertex
+    whose neighbours are all taken.  Bit p of ``saturated`` stands for the
+    p-th vertex in that order.
     """
     check_max_matchings(max_matchings)
     full = (1 << g.n) - 1
-    incidence = g.incidence
-    edges = g.edges
+    order = [v for v, _ in _bfs_forest(g)]
+    position = [0] * g.n
+    for p, v in enumerate(order):
+        position[v] = p
+    # options[p]: (edge bit, bit of the other end's position) per incident edge
+    options = [
+        tuple((1 << e, 1 << position[g.other_end(e, v)]) for e in g.incidence[v])
+        for v in order
+    ]
     found: list[int] = []
 
     def extend(saturated: int, chosen: int) -> None:
@@ -87,13 +129,10 @@ def enumerate_perfect_matchings(
                     f"more than {max_matchings} perfect matchings"
                 )
             return
-        free = ~saturated & full
-        v = (free & -free).bit_length() - 1
-        for e in incidence[v]:
-            a, b = edges[e]
-            w = b if a == v else a
-            if not (saturated >> w) & 1:
-                extend(saturated | (1 << v) | (1 << w), chosen | (1 << e))
+        low = ~saturated & (saturated + 1)  # the first free position's bit
+        for edge_bit, end_bit in options[low.bit_length() - 1]:
+            if not saturated & end_bit:
+                extend(saturated | low | end_bit, chosen | edge_bit)
 
     extend(0, 0)
     found.sort()
@@ -113,22 +152,9 @@ class PairStats:
 def pm_pair_stats(catalog: PMCatalog) -> PairStats:
     """Exact pair extremes with lexicographically smallest witness pairs.
 
-    Every perfect matching has n/2 edges, so |Mi ∪ Mj| = n - |Mi ∩ Mj|:
-    the pair of least intersection is also the pair of largest union.
+    Raises FewerThanTwoMatchings on a catalog of fewer than two members.
     """
-    if catalog.count < 2:
-        raise FewerThanTwoMatchings("need at least two perfect matchings")
-    masks = catalog.masks
-    best = catalog.graph.n  # above any intersection, which has <= n/2 edges
-    best_pair = (0, 1)
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            inter = (mi & masks[j]).bit_count()
-            if inter < best:
-                best = inter
-                best_pair = (i, j)
-    return PairStats(best, best_pair, catalog.graph.n - best, best_pair)
+    return catalog.pair_stats
 
 
 def matching_line(g: CubicGraph, pm: EdgeSet) -> str:

@@ -268,7 +268,8 @@ def test_scan_timeout_produces_timeout_record(tmp_path):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_timeout_bounds_pm_enumeration(tmp_path, jobs):
     corpus = tmp_path / "c.g6"
-    corpus.write_text(to_graph6(random_bridgeless_cubic(56, 3)) + "\n")
+    # 147477 perfect matchings: enumerating them alone takes about 45 s
+    corpus.write_text(to_graph6(random_bridgeless_cubic(80, 0)) + "\n")
     out_file = tmp_path / "r.jsonl"
     run_scan(corpus, out_file, timeout_s=1.0, jobs=jobs)
     record = ScanRecord.from_json(out_file.read_text().strip())
@@ -386,6 +387,19 @@ def test_a_directory_is_an_io_error_not_a_graph6_literal(tmp_path, monkeypatch, 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "petersen").mkdir()
     code, out, _ = run(capsys, "tau", "petersen")
+    assert code == 0 and out == "tau = 5  witness: [0, 1, 2, 3, 4]\n"
+
+
+def test_a_missing_path_is_an_io_error_not_a_graph6_literal(tmp_path, capsys):
+    missing = str(tmp_path / "nonexist.g6")
+    code, _, err = run(capsys, "analyze", missing)
+    assert code == 3
+    assert f"No such file or directory: '{missing}'" in err
+    assert "illegal character" not in err
+    code, _, err = run(capsys, "tau", "not-a-graph")
+    assert code == 2 and "unknown generator spec 'not-a-graph'" in err
+    # a spec of graph6 characters only is still parsed as a literal
+    code, out, _ = run(capsys, "tau", ">>graph6<<IsP@OkWHG")
     assert code == 0 and out == "tau = 5  witness: [0, 1, 2, 3, 4]\n"
 
 

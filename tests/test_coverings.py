@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from pmcover.compositions import tau5odd_example, three_cut_join
+from pmcover.compositions import k4_composition, tau5odd_example, three_cut_join
 from pmcover.errors import (
     CatalogMismatch,
     InvalidParams,
@@ -18,6 +18,8 @@ from pmcover.errors import (
 from pmcover.generators import (
     blanusa,
     flower_snark,
+    generalized_blanusa,
+    goldberg_graph,
     k4,
     k33,
     petersen,
@@ -106,6 +108,57 @@ class TestCoveringNumber:
                 )
                 res = covering_number(g, cat, cap=k)
                 assert exists == (res.status == "ok")
+
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: blanusa(1), lambda: blanusa(2), lambda: flower_snark(3),
+         lambda: flower_snark(5), lambda: flower_snark(7),
+         lambda: goldberg_graph(5), lambda: generalized_blanusa(1, 3),
+         tau5odd_example,
+         lambda: k4_composition([(petersen(), 0), (petersen(), 0),
+                                 (k33(), 0), (k33(), 0)])],
+        ids=["blanusa1", "blanusa2", "flower3", "flower5", "flower7",
+             "goldberg5", "gblanusa1-3", "tau5odd", "K4(P,P,K33,K33)"],
+    )
+    def test_cap_4_matches_branch_and_bound(self, make):
+        # cap 4 settles k = 4 by walking FR triples; _lex_cover is the oracle
+        g, cat = catalog_of(make())
+        res = covering_number(g, cat, cap=4)
+        expected = lex_cover(g, cat, 3) or lex_cover(g, cat, 4)
+        assert (res.witness.members if res.witness else None) == expected
+
+    @pytest.mark.parametrize(
+        "graph",
+        [petersen(), blanusa(1), flower_snark(5), tau5odd_example(),  # b > 0
+         k4(), k33(), prism(4), flower_snark(3)]
+        + [random_bridgeless_cubic(n, seed) for n in (10, 14) for seed in range(3)],
+    )
+    def test_size_3_matches_exhaustive_search(self, graph):
+        g, cat = catalog_of(graph)
+        full = (1 << g.m) - 1
+        triples = list(combinations(range(cat.count), 3))
+        covers = [t for t in triples if _union(cat.masks, t) == full]
+        res = covering_number(g, cat, cap=3)
+        assert (res.witness.members if res.witness else None) == (
+            covers[0] if covers else None
+        )
+        odd = [t for t in triples if _xor(cat.masks, t) == full]
+        res = odd_covering_number(g, cat, cap=3)
+        if res.status == "none_exists":
+            assert not odd
+        else:
+            assert (res.witness.members if res.witness else None) == (
+                odd[0] if odd else None
+            )
+            assert res.count_minimum == (len(odd) if odd else None)
+
+
+def _xor(masks, sub):
+    acc = 0
+    for i in sub:
+        acc ^= masks[i]
+    return acc
 
 
 def _union(masks, sub):
@@ -412,15 +465,30 @@ class TestAnalyze:
         assert metrics["fulkerson"] is None
 
     def test_deadline_bounds_pm_enumeration(self):
-        # 5829 perfect matchings: enumerating them alone takes about 30 s
+        # 147477 perfect matchings: enumerating them alone takes about 45 s
         start = time.monotonic()
         metrics, status = analyze_graph(
-            random_bridgeless_cubic(56, 3), deadline=start + 1.0
+            random_bridgeless_cubic(80, 0), deadline=start + 1.0
         )
         assert status == "timeout"
         assert time.monotonic() - start <= 2.0
         assert metrics["bridges"] == 0  # finished before the timeout: kept
         assert metrics["pm_count"] is None
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: flower_snark(7), lambda: goldberg_graph(5),
+         lambda: generalized_blanusa(1, 3)],
+        ids=["flower7", "goldberg5", "gblanusa1-3"],
+    )
+    def test_tau_odd_of_a_tau_4_graph_matches_the_odd_search(self, make):
+        g, cat = catalog_of(make())
+        metrics, status = analyze_graph(g)
+        odd = odd_covering_number(g, cat)
+        assert status == "ok" and metrics["tau"] == 4
+        assert (metrics["tau_odd"], metrics["tau_odd_count"]) == (
+            odd.size, odd.count_minimum
+        )
 
     def test_deadline_restores_the_alarm_handler_and_timer(self):
         before = signal.getsignal(signal.SIGALRM)

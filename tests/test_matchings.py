@@ -47,12 +47,12 @@ def test_counts_match_brute_force_up_to_n12():
               petersen(), flower_snark(3)]
     graphs += [random_cubic_any(n, rng) for n in (8, 10, 12) for _ in range(4)]
     for g in graphs:
-        brute = sum(
-            1
+        brute = sorted(
+            g.edge_set(combo).bits
             for combo in combinations(range(g.m), g.n // 2)
             if is_perfect_matching(g, g.edge_set(combo))
         )
-        assert enumerate_perfect_matchings(g).count == brute
+        assert list(enumerate_perfect_matchings(g).masks) == brute
 
 
 def test_catalog_sorted_and_members_valid():
@@ -149,6 +149,32 @@ def test_pair_stats_needs_two():
     assert cat.count == 0
     with pytest.raises(FewerThanTwoMatchings):
         pm_pair_stats(cat)
+
+
+def test_pair_stats_view_matches_a_full_pair_scan():
+    for i in range(50):
+        g = random_bridgeless_cubic((10, 12, 14, 16, 18)[i % 5], 700 + i)
+        cat = enumerate_perfect_matchings(g)
+        inter = {
+            (a, b): (cat.masks[a] & cat.masks[b]).bit_count()
+            for a, b in combinations(range(cat.count), 2)
+        }
+        best = min(inter.values())
+        pair = min(p for p, c in inter.items() if c == best)
+        assert cat.pair_stats == pm_pair_stats(cat)
+        assert cat.pair_stats.min_intersection == best
+        assert cat.pair_stats.argmin == cat.pair_stats.argmax == pair
+        assert cat.pair_stats.max_union == g.n - best
+
+
+def test_index_of_finds_every_member_and_nothing_else():
+    g = flower_snark(5)
+    cat = enumerate_perfect_matchings(g)
+    assert [cat.index_of(pm) for pm in cat.matchings] == list(range(cat.count))
+    with pytest.raises(ValueError):
+        cat.index_of(EdgeSet(g.m, 0b111))
+    with pytest.raises(ValueError):
+        cat.index_of(EdgeSet(g.m + 1, cat.masks[0]))
 
 
 def test_kkn_union_bound_on_random_bridgeless_graphs():
