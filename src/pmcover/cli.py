@@ -30,7 +30,7 @@ from .coverings import (
     fulkerson_covering,
     odd_covering_number,
 )
-from .errors import GraphError, CatalogError, CoveringError, InvalidParams, UnknownName
+from .errors import GraphError, InvalidParams, UnknownName
 from .generators import (
     blanusa,
     flower_snark,
@@ -52,7 +52,7 @@ from .verify import run_all
 
 
 # name -> (constructor, fewest parameters, most parameters); random's
-# optional second parameter is its seed
+# optional second parameter is its seed, 0 when left out
 GENERATORS = {
     "petersen": (petersen, 0, 0), "k4": (k4, 0, 0), "k33": (k33, 0, 0),
     "theta": (theta, 0, 0), "blanusa1": (lambda: blanusa(1), 0, 0),
@@ -71,7 +71,7 @@ def _int(text: str, what: str) -> int:
         raise InvalidParams(f"{what} {text!r} is not an integer") from None
 
 
-def _generate(spec: str, seed: int | None = None):
+def _generate(spec: str):
     name, _, rest = spec.partition(":")
     args = [p for p in rest.split(":") if p] if rest else []
     if name not in GENERATORS:
@@ -86,19 +86,17 @@ def _generate(spec: str, seed: int | None = None):
     # perm's one parameter is the comma-separated permutation
     params = args[0].split(",") if name == "perm" else args
     values = [_int(x, f"generator {name!r}: parameter") for x in params]
-    if name == "random" and len(values) == 1:
-        values.append(0 if seed is None else seed)
     return make(*values)
 
 
-def _resolve(spec: str, seed: int | None = None):
+def _resolve(spec: str):
     if os.path.isfile(spec):
         line = next(iter_graph6_file(spec), None)
         if line is None:
             raise GraphError(f"no graph6 line in {spec}")
         return parse_graph6(line)
     try:
-        return _generate(spec, seed)
+        return _generate(spec)
     except UnknownName as exc:
         if ":" in spec:  # never a graph6 character
             raise
@@ -123,7 +121,7 @@ def _emit(g, as_g6: bool) -> None:
 
 def _cmd_gen(args) -> int:
     spec = ":".join([args.name] + args.params)
-    g = _generate(spec, args.seed)
+    g = _generate(spec)
     _emit(g, args.g6)
     return 0
 
@@ -195,7 +193,7 @@ def _enumerate(g, catalog, args):
 
 def _cmd_graph(args) -> int:
     """Load the graph and its catalog, run one graph command, print its report."""
-    g = _resolve(args.graph, args.seed)
+    g = _resolve(args.graph)
     # analyze_graph builds the catalog itself, as one of its phases
     catalog = (
         None if args.report is _analyze
@@ -232,7 +230,7 @@ def _cmd_compose(args) -> int:
 
     pairs = []
     for i in range(0, want, 2):
-        g = _resolve(specs[i], args.seed)
+        g = _resolve(specs[i])
         pairs.append((g, index(specs[i], g, specs[i + 1])))
     if op == "k4":
         g = k4_composition(pairs)
@@ -279,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact perfect-matching covering computations "
         "for bridgeless cubic graphs",
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed for random specs")
     sub = parser.add_subparsers(dest="command", required=True)
     graph = _option("graph", help="generator spec, graph6 file, or graph6 literal")
     cap = _option("--cap", type=int, default=DEFAULT_CAP)
@@ -335,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, CatalogError, CoveringError, ValueError) as exc:
+    except ValueError as exc:  # GraphError, CatalogError, CoveringError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

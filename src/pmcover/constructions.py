@@ -4,7 +4,8 @@ A *good triple* between two odd cycles of a 2-factor is a set of three
 cross edges whose endpoints cut both cycles into three odd arcs; a pair of
 cycles carrying one is a *good pair*.  When the odd cycles of a 2-factor can
 be arranged into good pairs, four perfect matchings covering the whole edge
-set can be written down directly - no search.
+set can be written down directly - no search.  ``pair_odd_cycles`` returns
+the arrangement as certificates, ``four_covering_from_good_pairs`` builds on them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import combinations
 
 from .coverings import Covering, CoveringKind
 from .errors import ConstructionFailed, InvalidCertificate, NotOddCycles
-from .graphs import CubicGraph, EdgeSet, TwoFactor, is_perfect_matching
+from .graphs import CubicGraph, EdgeSet, TwoFactor
 
 
 @dataclass(frozen=True)
@@ -114,37 +115,39 @@ def find_good_triple(
 
 def pair_odd_cycles(
     g: CubicGraph, tf: TwoFactor
-) -> list[tuple[int, int]] | None:
+) -> list[GoodPairCert] | None:
     """Arrange the odd cycles of a 2-factor into good pairs, or None.
 
     Backtracking over perfect pairings of the odd cycle ids; even cycles
-    stay unpaired.
+    stay unpaired.  Returns one certificate per pair, in pairing order, each
+    the ``find_good_triple`` of its two cycles.
     """
     odd = list(tf.odd_cycle_ids)
-    cache: dict[tuple[int, int], bool] = {}
+    cache: dict[tuple[int, int], GoodPairCert | None] = {}
 
-    def good(i: int, j: int) -> bool:
+    def good(i: int, j: int) -> GoodPairCert | None:
         key = (i, j)
         if key not in cache:
-            cache[key] = find_good_triple(g, tf, i, j) is not None
+            cache[key] = find_good_triple(g, tf, i, j)
         return cache[key]
 
-    pairing: list[tuple[int, int]] = []
+    certs: list[GoodPairCert] = []
 
     def solve(rest: list[int]) -> bool:
         if not rest:
             return True
         first, tail = rest[0], rest[1:]
         for pos, j in enumerate(tail):
-            if good(first, j):
-                pairing.append((first, j))
+            cert = good(first, j)
+            if cert is not None:
+                certs.append(cert)
                 if solve(tail[:pos] + tail[pos + 1 :]):
                     return True
-                pairing.pop()
+                certs.pop()
         return False
 
     if solve(odd):
-        return pairing
+        return certs
     return None
 
 
@@ -158,28 +161,23 @@ def _near_matching(tf: TwoFactor, cycle_id: int, skip_vertex: int) -> list[int]:
 
 
 def four_covering_from_good_pairs(
-    g: CubicGraph,
-    tf: TwoFactor,
-    pairing: list[tuple[int, int]],
-    certs: list[GoodPairCert],
+    g: CubicGraph, tf: TwoFactor, certs: list[GoodPairCert]
 ) -> Covering:
-    """The direct 4-covering built from a good-pair arrangement.
+    """The direct 4-covering built from good-pair certificates.
 
+    ``certs`` must pair each odd cycle of the 2-factor exactly once, as the
+    list ``pair_odd_cycles`` returns does; each certificate is re-checked.
     One matching is the complement of the 2-factor; each of the other three
     takes one cross edge per pair plus the forced near-matchings of the two
     punctured cycles, and the even cycles contribute one alternating class
     to the second matching and the complementary class to the last two.
     """
-    paired = [c for pair in pairing for c in pair]
+    paired = [c for cert in certs for c in cert.cycle_ids]
     if sorted(paired) != sorted(tf.odd_cycle_ids):
-        raise InvalidCertificate("pairing must cover each odd cycle exactly once")
-    if len(certs) != len(pairing):
-        raise InvalidCertificate("need one certificate per pair")
+        raise InvalidCertificate("certificates must pair each odd cycle exactly once")
     rechecked = []
-    for pair, cert in zip(pairing, certs):
-        if tuple(cert.cycle_ids) != tuple(pair):
-            raise InvalidCertificate("certificate does not match its pair")
-        again = check_good_triple(g, tf, pair[0], pair[1], cert.cross_edges)
+    for cert in certs:
+        again = check_good_triple(g, tf, *cert.cycle_ids, cert.cross_edges)
         if again is None:
             raise InvalidCertificate("certificate arcs are not all odd")
         rechecked.append(again)
@@ -196,25 +194,20 @@ def four_covering_from_good_pairs(
         for e in class_b:
             base[2] |= 1 << e
             base[3] |= 1 << e
-    for pair, cert in zip(pairing, rechecked):
+    for cert in rechecked:
+        first, second = cert.cycle_ids
         for j in range(3):
             bits = 1 << cert.cross_edges[j]
-            for e in _near_matching(tf, pair[0], cert.first_endpoints[j]):
+            for e in _near_matching(tf, first, cert.first_endpoints[j]):
                 bits |= 1 << e
-            for e in _near_matching(tf, pair[1], cert.second_endpoints[j]):
+            for e in _near_matching(tf, second, cert.second_endpoints[j]):
                 bits |= 1 << e
             base[1 + j] |= bits
 
     matchings = [EdgeSet(g.m, bits) for bits in base]
-    union = 0
-    for es in matchings:
-        if not is_perfect_matching(g, es):
-            raise ConstructionFailed("constructed member is not a perfect matching")
-        union |= es.bits
-    if union != (1 << g.m) - 1:
-        raise ConstructionFailed("constructed members miss an edge")
     for j in (1, 2, 3):
         expected = {cert.cross_edges[j - 1] for cert in rechecked}
         if set(matchings[0] & matchings[j]) != expected:
             raise ConstructionFailed("cross-edge intersections are off")
+    # from_matchings checks that the members are perfect matchings covering E
     return Covering.from_matchings(g, matchings, CoveringKind.PLAIN)

@@ -12,7 +12,8 @@ covering searches use what that forces:
 * a 3-covering, plain or odd, partitions E, so none exists unless two
   members are disjoint (b = 0, read off ``PMCatalog.pair_stats``);
 * every 3 members of a 4-covering form a Fan-Raspaud triple, so 4-coverings
-  are found by walking FR triples, and branch-and-bound set cover is left
+  are found by walking FR triples (``_fr_triples``, the one walk that
+  ``find_fr_triples`` also reads), and branch-and-bound set cover is left
   for k >= 5;
 * tau = 4 gives tau_odd = 5: adding the doubly covered matching to a
   4-covering makes it odd, and tau_odd is odd and at least tau.
@@ -26,6 +27,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .errors import (
     CoveringError,
@@ -236,6 +238,19 @@ def _lex_cover(
     return tuple(chosen)
 
 
+def _fr_triples(masks: tuple[int, ...]):
+    """FR triples i < j < k (no edge in all three) in lex order, with their union."""
+    count = len(masks)
+    for i in range(count):
+        mi = masks[i]
+        for j in range(i + 1, count):
+            mij, cover_ij = mi & masks[j], mi | masks[j]
+            for k in range(j + 1, count):
+                mk = masks[k]
+                if not mij & mk:
+                    yield i, j, k, cover_ij | mk
+
+
 def _four_cover(
     masks: tuple[int, ...],
     by_edge: tuple[tuple[int, ...], ...],
@@ -248,22 +263,14 @@ def _four_cover(
     that contains T0, the edges the triple leaves uncovered, finds the
     lex-smallest 4-covering first.
     """
-    count = len(masks)
-    for i in range(count):
-        mi = masks[i]
-        for j in range(i + 1, count):
-            mij, cover_ij = mi & masks[j], mi | masks[j]
-            for k in range(j + 1, count):
-                mk = masks[k]
-                if mij & mk:
-                    continue
-                t0 = full & ~(cover_ij | mk)
-                # an FR triple covering E would be a 3-covering
-                assert t0, "3-covering reached the 4-covering search"
-                holders = by_edge[(t0 & -t0).bit_length() - 1]
-                for pos in range(bisect_right(holders, k), len(holders)):
-                    if masks[holders[pos]] & t0 == t0:
-                        return i, j, k, holders[pos]
+    for i, j, k, union in _fr_triples(masks):
+        t0 = full & ~union
+        # an FR triple covering E would be a 3-covering
+        assert t0, "3-covering reached the 4-covering search"
+        holders = by_edge[(t0 & -t0).bit_length() - 1]
+        for pos in range(bisect_right(holders, k), len(holders)):
+            if masks[holders[pos]] & t0 == t0:
+                return i, j, k, holders[pos]
     return None
 
 
@@ -337,19 +344,9 @@ def covering_multiplicities(cov: Covering) -> MultiplicityReport:
 def find_fr_triples(
     catalog: PMCatalog, limit: int | None = None
 ) -> list[tuple[int, int, int]]:
-    """Index triples with empty three-way intersection, in lex order."""
-    masks = catalog.masks
-    out: list[tuple[int, int, int]] = []
-    count = len(masks)
-    for i in range(count):
-        for j in range(i + 1, count):
-            ij = masks[i] & masks[j]
-            for k in range(j + 1, count):
-                if ij & masks[k] == 0:
-                    out.append((i, j, k))
-                    if limit is not None and len(out) >= limit:
-                        return out
-    return out
+    """Index triples with empty three-way intersection, in lex order: the
+    first ``limit`` of them, or all when ``limit`` is None."""
+    return [t[:3] for t in islice(_fr_triples(catalog.masks), limit)]
 
 
 def fr_structure(
@@ -386,6 +383,11 @@ ODD_COUNT_MAX_SIZE = 7
 ODD_COUNT_MAX_CATALOG = 64
 
 
+def _odd_count_reported(size: int, catalog: PMCatalog) -> bool:
+    """Whether the minimum odd coverings of this size are counted."""
+    return size <= ODD_COUNT_MAX_SIZE and catalog.count <= ODD_COUNT_MAX_CATALOG
+
+
 def odd_covering_number(
     g: CubicGraph, catalog: PMCatalog, cap: int = DEFAULT_ODD_CAP
 ) -> OddCoverResult:
@@ -397,7 +399,7 @@ def odd_covering_number(
     members equals all-ones.  Size 3 is skipped unless two members are
     disjoint: an odd 3-covering partitions E.  The number of minimum-size odd
     coverings is reported when the instance is small enough
-    (``ODD_COUNT_MAX_SIZE`` and ``ODD_COUNT_MAX_CATALOG``).
+    (``_odd_count_reported``).
     """
     check_catalog(g, catalog)
     masks = catalog.masks
@@ -410,7 +412,7 @@ def odd_covering_number(
             break
         if size == 3 and not _has_disjoint_pair(catalog):
             continue
-        counting = size <= ODD_COUNT_MAX_SIZE and count <= ODD_COUNT_MAX_CATALOG
+        counting = _odd_count_reported(size, catalog)
         witness, found = _odd_subsets(
             masks, catalog.index_by_mask, full, size, counting
         )
@@ -603,9 +605,10 @@ def analyze_graph(
     or while the caller's own real interval timer is armed.  A timeout keeps
     the fields finished before it; the rest stay None, never guessed.
 
-    When tau = 4 and the catalog is too large for ``tau_odd_count``, tau_odd
-    is 5 without an odd search: a 4-covering plus its doubly covered matching
-    is an odd 5-covering, and tau_odd is odd and at least tau.
+    When tau = 4 and no ``tau_odd_count`` of size 5 would be reported
+    (``_odd_count_reported``), tau_odd is 5 without an odd search: a
+    4-covering plus its doubly covered matching is an odd 5-covering, and
+    tau_odd is odd and at least tau.
     """
     check_cap(cap)
     metrics: dict = {key: None for key in REPORT_FIELDS}
@@ -632,7 +635,7 @@ def analyze_graph(
             if (
                 tau.tau == 4
                 and odd_cap >= 5
-                and catalog.count > ODD_COUNT_MAX_CATALOG
+                and not _odd_count_reported(5, catalog)
             ):
                 odd5 = odd_covering_from_four_covering(tau.witness)
                 odd = OddCoverResult("ok", odd_cap, odd5.size, odd5)

@@ -254,7 +254,7 @@ def permutation_graph(sigma: list[int] | tuple[int, ...]) -> CubicGraph:
     return CubicGraph(2 * n, edges)
 
 
-def random_bridgeless_cubic(n: int, seed: int) -> CubicGraph:
+def random_bridgeless_cubic(n: int, seed: int = 0) -> CubicGraph:
     """Random simple connected bridgeless cubic graph via stub pairing.
 
     Rejection sampling over random pairings of the 3n half-edges;

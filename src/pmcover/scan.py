@@ -132,7 +132,8 @@ def run_scan(
     skipped; an unterminated last output line is dropped and its graph
     analyzed again.  Per-graph failures become error records and never
     abort the scan.  Each record is written and flushed as soon as it and
-    every record before it are done, in input order, also with jobs > 1.
+    every record before it are done, in input order, also with jobs > 1,
+    which runs up to ``jobs`` worker processes but never more than graphs.
     A ``timeout_s`` of 0 or None means no time limit.  Bad parameters raise
     ValueError before the output is opened.
     """
@@ -173,10 +174,12 @@ def run_scan(
         pending.append(line)
 
     payloads = [(line, cap, odd_cap, timeout_s, max_matchings) for line in pending]
+    # a pool forks all its workers at the first submit: no more than graphs
+    workers = min(jobs, len(payloads))
     with open(output_path, "a", encoding="ascii") as fh, ExitStack() as stack:
         records = map(_scan_one, payloads)
-        if jobs > 1:
-            pool = ProcessPoolExecutor(max_workers=jobs)
+        if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=workers)
             stack.callback(pool.shutdown, cancel_futures=True)
             records = pool.map(_scan_one, payloads)
         for record in records:

@@ -200,6 +200,31 @@ def test_scan_parallel_jobs_match_serial(tmp_path):
     assert strip_timing(serial) == strip_timing(parallel)
 
 
+@pytest.mark.parametrize(
+    "graphs,jobs,pools", [(2, 64, [2]), (1, 8, []), (3, 1, [])],
+    ids=["two-graphs-64-jobs", "one-graph-8-jobs", "three-graphs-1-job"],
+)
+def test_scan_starts_no_more_workers_than_graphs(tmp_path, monkeypatch, graphs, jobs, pools):
+    made = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(pmcover.scan, "ProcessPoolExecutor", InProcessPool)
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("".join(to_graph6(prism(k)) + "\n" for k in range(3, 3 + graphs)))
+    summary = run_scan(corpus, tmp_path / "out.jsonl", timeout_s=None, jobs=jobs)
+    assert summary.processed == graphs
+    assert made == pools
+
+
 def test_scan_cli_command(tmp_path, capsys):
     corpus = tmp_path / "c.g6"
     corpus.write_text(to_graph6(prism(4)) + "\n")
@@ -212,6 +237,17 @@ def test_scan_cli_command(tmp_path, capsys):
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["tau"])  # missing graph argument
+    assert exc.value.code == 2
+
+
+def test_random_spec_without_a_seed_is_seed_0(capsys):
+    plain = run(capsys, "tau", "random:10")
+    assert plain[0] == 0 and plain == run(capsys, "tau", "random:10:0")
+
+
+def test_there_is_no_global_seed_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "3", "tau", "random:10"])
     assert exc.value.code == 2
 
 

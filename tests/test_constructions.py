@@ -41,6 +41,18 @@ def petersen_two_factor(g):
     return two_factor_of(g, spokes)
 
 
+# pairable proof 2-factors: (graph, 2-factor) makers
+PROOF_TWO_FACTORS = [
+    lambda: (flower_snark(5), two_factor_from_cycles(flower_snark(5), flower_proof_cycles(5))),
+    lambda: (flower_snark(7), two_factor_from_cycles(flower_snark(7), flower_proof_cycles(7))),
+    lambda: (flower_snark(9), two_factor_from_cycles(flower_snark(9), flower_proof_cycles(9))),
+    lambda: (goldberg_graph(5), two_factor_from_cycles(goldberg_graph(5), goldberg_proof_cycles(5))),
+    lambda: (goldberg_graph(7), two_factor_from_cycles(goldberg_graph(7), goldberg_proof_cycles(7))),
+    lambda: (blanusa(1), nine_nine_two_factor(blanusa(1))),
+    lambda: (blanusa(2), nine_nine_two_factor(blanusa(2))),
+]
+
+
 class TestGoodTriples:
     def test_blanusa_nine_cycles_have_one(self):
         for which in (1, 2):
@@ -94,14 +106,22 @@ class TestPairing:
     def test_goldberg_pairs_c_and_d(self):
         g = goldberg_graph(5)
         tf = two_factor_from_cycles(g, goldberg_proof_cycles(5))
-        pairing = pair_odd_cycles(g, tf)
-        assert pairing == [(0, 1)]
+        certs = pair_odd_cycles(g, tf)
+        assert [c.cycle_ids for c in certs] == [(0, 1)]
         assert tf.even_cycle_ids == (2,)
 
     def test_blanusa_pairs_its_two_nine_cycles(self):
         g = blanusa(1)
         tf = nine_nine_two_factor(g)
-        assert pair_odd_cycles(g, tf) == [(0, 1)]
+        assert [c.cycle_ids for c in pair_odd_cycles(g, tf)] == [(0, 1)]
+
+    @pytest.mark.parametrize("make", PROOF_TWO_FACTORS)
+    def test_certificates_are_the_first_good_triples(self, make):
+        g, tf = make()
+        certs = pair_odd_cycles(g, tf)
+        assert certs
+        for cert in certs:
+            assert cert == find_good_triple(g, tf, *cert.cycle_ids)
 
     def test_all_even_two_factor_pairs_nothing(self):
         g = prism(4)
@@ -113,20 +133,11 @@ class TestPairing:
 
 
 class TestFourCovering:
-    @pytest.mark.parametrize("make", [
-        lambda: (flower_snark(5), two_factor_from_cycles(flower_snark(5), flower_proof_cycles(5))),
-        lambda: (flower_snark(7), two_factor_from_cycles(flower_snark(7), flower_proof_cycles(7))),
-        lambda: (flower_snark(9), two_factor_from_cycles(flower_snark(9), flower_proof_cycles(9))),
-        lambda: (goldberg_graph(5), two_factor_from_cycles(goldberg_graph(5), goldberg_proof_cycles(5))),
-        lambda: (goldberg_graph(7), two_factor_from_cycles(goldberg_graph(7), goldberg_proof_cycles(7))),
-        lambda: (blanusa(1), nine_nine_two_factor(blanusa(1))),
-        lambda: (blanusa(2), nine_nine_two_factor(blanusa(2))),
-    ])
+    @pytest.mark.parametrize("make", PROOF_TWO_FACTORS)
     def test_construction_verifies(self, make):
         g, tf = make()
-        pairing = pair_odd_cycles(g, tf)
-        certs = [find_good_triple(g, tf, a, b) for a, b in pairing]
-        cov = four_covering_from_good_pairs(g, tf, pairing, certs)
+        certs = pair_odd_cycles(g, tf)
+        cov = four_covering_from_good_pairs(g, tf, certs)
         report = covering_multiplicities(cov)
         assert set(report.vector) <= {1, 2}
         assert is_perfect_matching(g, report.doubly_covered)
@@ -137,7 +148,7 @@ class TestFourCovering:
             e for e, (u, v) in enumerate(g.edges) if (u < 4) != (v < 4)
         )
         tf = two_factor_of(g, spokes)
-        cov = four_covering_from_good_pairs(g, tf, [], [])
+        cov = four_covering_from_good_pairs(g, tf, [])
         assert cov.size == 4
         assert min(cov.multiplicities()) >= 1
 
@@ -145,7 +156,14 @@ class TestFourCovering:
         g = blanusa(1)
         tf = nine_nine_two_factor(g)
         with pytest.raises(InvalidCertificate):
-            four_covering_from_good_pairs(g, tf, [], [])
+            four_covering_from_good_pairs(g, tf, [])
+
+    def test_cycle_paired_twice_rejected(self):
+        g = blanusa(1)
+        tf = nine_nine_two_factor(g)
+        cert = find_good_triple(g, tf, 0, 1)
+        with pytest.raises(InvalidCertificate):
+            four_covering_from_good_pairs(g, tf, [cert, cert])
 
     def test_wrong_cert_rejected(self):
         g = flower_snark(5)
@@ -159,14 +177,13 @@ class TestFourCovering:
             arcs=cert.arcs,
         )
         with pytest.raises(InvalidCertificate):
-            four_covering_from_good_pairs(g, tf, [(0, 1)], [bad])
+            four_covering_from_good_pairs(g, tf, [bad])
 
     def test_named_fr_triples_inside_construction(self):
         g = flower_snark(5)
         tf = two_factor_from_cycles(g, flower_proof_cycles(5))
-        pairing = pair_odd_cycles(g, tf)
-        certs = [find_good_triple(g, tf, a, b) for a, b in pairing]
-        cov = four_covering_from_good_pairs(g, tf, pairing, certs)
+        certs = pair_odd_cycles(g, tf)
+        cov = four_covering_from_good_pairs(g, tf, certs)
         masks = [pm.bits for pm in cov.matchings]
         base = masks.index(tf.matching.bits)
         others = [i for i in range(4) if i != base]
@@ -184,11 +201,10 @@ def test_good_pair_arrangements_certify_4_coverings():
         g = random_bridgeless_cubic(n, 9000 + seed)
         cat = enumerate_perfect_matchings(g)
         tf = two_factor_of(g, cat.matchings[0])
-        pairing = pair_odd_cycles(g, tf)
-        if pairing is None:
+        certs = pair_odd_cycles(g, tf)
+        if certs is None:
             continue
-        certs = [find_good_triple(g, tf, a, b) for a, b in pairing]
-        cov = four_covering_from_good_pairs(g, tf, pairing, certs)
+        cov = four_covering_from_good_pairs(g, tf, certs)
         assert min(cov.multiplicities()) >= 1
         built += 1
     assert built >= 80
@@ -229,10 +245,9 @@ def test_two_good_pairs_in_one_two_factor():
     g, pm = _join_through_matching_edges(f5, cycles, (0, 15), f5, cycles, (0, 15))
     tf = two_factor_of(g, pm)
     assert sorted(len(c) for c in tf.cycles) == [5, 5, 15, 15]
-    pairing = pair_odd_cycles(g, tf)
-    assert pairing == [(0, 1), (2, 3)]
-    certs = [find_good_triple(g, tf, a, b) for a, b in pairing]
-    cov = four_covering_from_good_pairs(g, tf, pairing, certs)
+    certs = pair_odd_cycles(g, tf)
+    assert [c.cycle_ids for c in certs] == [(0, 1), (2, 3)]
+    cov = four_covering_from_good_pairs(g, tf, certs)
     report = covering_multiplicities(cov)
     assert len(report.doubly_covered) == g.n // 2
 
@@ -247,9 +262,8 @@ def test_two_good_pairs_plus_even_cycle():
     tf = two_factor_of(g, pm)
     assert sorted(len(c) for c in tf.cycles) == [5, 5, 10, 15, 25]
     assert len(tf.even_cycle_ids) == 1
-    pairing = pair_odd_cycles(g, tf)
-    assert pairing == [(0, 1), (3, 4)]
-    certs = [find_good_triple(g, tf, a, b) for a, b in pairing]
-    cov = four_covering_from_good_pairs(g, tf, pairing, certs)
+    certs = pair_odd_cycles(g, tf)
+    assert [c.cycle_ids for c in certs] == [(0, 1), (3, 4)]
+    cov = four_covering_from_good_pairs(g, tf, certs)
     report = covering_multiplicities(cov)
     assert len(report.doubly_covered) == g.n // 2 == 30

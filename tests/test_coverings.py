@@ -245,6 +245,21 @@ class TestFRTriples:
         _, cat = catalog_of(petersen())
         assert len(find_fr_triples(cat, limit=5)) == 5
 
+    @pytest.mark.parametrize("limit", [None, 1, 5])
+    @pytest.mark.parametrize(
+        "graph", [petersen(), blanusa(1), tau5odd_example()],
+        ids=["petersen", "blanusa1", "tau5odd"],
+    )
+    def test_matches_brute_force_triple_scan(self, graph, limit):
+        _, cat = catalog_of(graph)
+        masks = cat.masks
+        brute = [
+            (i, j, k) for i, j, k in combinations(range(cat.count), 3)
+            if masks[i] & masks[j] & masks[k] == 0
+        ]
+        assert len(brute) > 5
+        assert find_fr_triples(cat, limit) == brute[:limit]
+
     def test_petersen_structure(self):
         g, cat = catalog_of(petersen())
         s = fr_structure(g, cat, (0, 1, 2))
@@ -556,7 +571,6 @@ class TestCatalogFreeCoverings:
 
     def _goldberg_four_covering(self):
         from pmcover.constructions import (
-            find_good_triple,
             four_covering_from_good_pairs,
             pair_odd_cycles,
         )
@@ -568,9 +582,8 @@ class TestCatalogFreeCoverings:
 
         g = goldberg_graph(5)
         tf = two_factor_from_cycles(g, goldberg_proof_cycles(5))
-        pairing = pair_odd_cycles(g, tf)
-        certs = [find_good_triple(g, tf, a, b) for a, b in pairing]
-        return g, four_covering_from_good_pairs(g, tf, pairing, certs)
+        certs = pair_odd_cycles(g, tf)
+        return g, four_covering_from_good_pairs(g, tf, certs)
 
     def test_odd_5_covering_from_goldberg(self):
         g, cov4 = self._goldberg_four_covering()
