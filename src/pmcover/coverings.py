@@ -1,10 +1,11 @@
 """Exact solvers and verifiers for perfect matching coverings.
 
 Everything runs over a complete ``PMCatalog``: the covering number tau,
-plain k-coverings, odd and even coverings (GF(2) feasibility plus subset
-search), Fulkerson coverings, Fan-Raspaud triples and the multiplicity
-structure of 4-coverings.  Searches are deterministic and always break ties
-toward the lexicographically smallest witness by sorted catalog indices.
+plain k-coverings, odd and even coverings (GF(2) feasibility, weight
+enumerator counts and subset search), Fulkerson coverings, Fan-Raspaud
+triples and the multiplicity structure of 4-coverings.  Searches are
+deterministic and always break ties toward the lexicographically smallest
+witness by sorted catalog indices.
 
 In a cubic graph each perfect matching has n/2 of the 3n/2 edges, and the
 covering searches use what that forces:
@@ -16,7 +17,17 @@ covering searches use what that forces:
   ``find_fr_triples`` also reads), and branch-and-bound set cover is left
   for k >= 5;
 * tau = 4 gives tau_odd = 5: adding the doubly covered matching to a
-  4-covering makes it odd, and tau_odd is odd and at least tau.
+  4-covering makes it odd, and tau_odd is odd and at least tau;
+  ``analyze_graph`` takes tau_odd from that rule whenever no count is
+  reported, so no odd search or count runs there;
+* an odd s-covering is an s-set of columns of the edge x matching matrix
+  over GF(2) whose XOR is all-ones, and when b > 0 the number of them,
+  for every s at once, comes from the weight enumerator of the row space:
+  one pass over the 2^r row combinations, r the rank (n/2 + 1 on the
+  snarks tried).  The pass costs 2^r whatever the catalog, so above
+  ``WEIGHT_ENUMERATOR_MAX_RANK`` the subset search runs instead; it also
+  runs when b = 0, where a disjoint pair settles tau_odd = 3 at once.  The
+  subset search still finds the witness, at the minimum size alone.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ import signal
 import time
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice
 
@@ -38,7 +49,7 @@ from .errors import (
     NotOdd,
     NotSize4,
 )
-from .gf2 import gf2_in_span
+from .gf2 import gf2_all_ones_subset_counts, gf2_in_span
 from .graphs import (
     CubicGraph,
     EdgeSet,
@@ -377,8 +388,9 @@ def fr_structure(
     )
 
 
-# Counting the minimum odd coverings visits every subset of that size
-# instead of stopping at the first witness, so it is done only up to here.
+# Counting the minimum odd coverings by search visits every subset of that
+# size instead of stopping at the first witness, so the count is reported only
+# up to here, also where the weight enumerator has it at no extra cost.
 ODD_COUNT_MAX_SIZE = 7
 ODD_COUNT_MAX_CATALOG = 64
 
@@ -388,29 +400,55 @@ def _odd_count_reported(size: int, catalog: PMCatalog) -> bool:
     return size <= ODD_COUNT_MAX_SIZE and catalog.count <= ODD_COUNT_MAX_CATALOG
 
 
-def odd_covering_number(
-    g: CubicGraph, catalog: PMCatalog, cap: int = DEFAULT_ODD_CAP
-) -> OddCoverResult:
-    """Minimum size of a set of distinct matchings covering each edge oddly.
+# The weight-enumerator pass walks 2^r row combinations, r the GF(2) rank of
+# the edge x matching matrix (n/2 + 1 on the snarks tried; r = 20 takes about
+# 0.3 s and each step up doubles it); above this rank the subset search runs.
+WEIGHT_ENUMERATOR_MAX_RANK = 20
 
-    Feasibility is settled first over GF(2): an odd covering exists iff the
-    all-ones vector lies in the span of the matching incidence vectors.  The
-    search then scans odd sizes; a subset qualifies iff the XOR of its
-    members equals all-ones.  Size 3 is skipped unless two members are
-    disjoint: an odd 3-covering partitions E.  The number of minimum-size odd
-    coverings is reported when the instance is small enough
-    (``_odd_count_reported``).
+
+def _odd_counts(catalog: PMCatalog, sizes) -> dict[int, int] | None:
+    """The number of odd coverings of each size, given that one exists.
+
+    Row e of the edge x matching matrix has bit i set when member i holds
+    edge e.  None when its rank exceeds ``WEIGHT_ENUMERATOR_MAX_RANK``.
+    """
+    rows = (sum(1 << i for i in holders) for holders in catalog.by_edge)
+    return gf2_all_ones_subset_counts(
+        rows, catalog.count, sizes, WEIGHT_ENUMERATOR_MAX_RANK
+    )
+
+
+def _odd_cover_size(
+    g: CubicGraph, catalog: PMCatalog, cap: int
+) -> OddCoverResult:
+    """tau_odd up to ``cap`` and its count, with a witness only when searched.
+
+    When no two members are disjoint (b > 0) and the rank is at most
+    ``WEIGHT_ENUMERATOR_MAX_RANK``, the counts of every odd size come from
+    one weight-enumerator pass and no witness is returned.  Otherwise the
+    subset search scans the odd sizes and returns its first witness.
     """
     check_catalog(g, catalog)
     masks = catalog.masks
     full = (1 << g.m) - 1
     if not gf2_in_span(masks, full):
         return OddCoverResult("none_exists", cap)
-    count = len(masks)
-    for size in range(3, cap + 1, 2):
-        if size > count:
-            break
-        if size == 3 and not _has_disjoint_pair(catalog):
+    sizes = range(3, min(cap, catalog.count) + 1, 2)
+    colourable = _has_disjoint_pair(catalog)
+    if sizes and not colourable:
+        counts = _odd_counts(catalog, sizes)
+        if counts is not None:
+            # an odd 3-covering partitions E, so it needs a disjoint pair
+            assert counts[3] == 0, "odd 3-covering without a disjoint pair"
+            for size in sizes:
+                if counts[size]:
+                    counted = _odd_count_reported(size, catalog)
+                    return OddCoverResult(
+                        "ok", cap, size, None, counts[size] if counted else None
+                    )
+            return OddCoverResult("exceeds", cap)
+    for size in sizes:
+        if size == 3 and not colourable:
             continue
         counting = _odd_count_reported(size, catalog)
         witness, found = _odd_subsets(
@@ -422,6 +460,38 @@ def odd_covering_number(
                 "ok", cap, size, cov, found if counting else None
             )
     return OddCoverResult("exceeds", cap)
+
+
+def odd_covering_number(
+    g: CubicGraph, catalog: PMCatalog, cap: int = DEFAULT_ODD_CAP
+) -> OddCoverResult:
+    """Minimum size of a set of distinct matchings covering each edge oddly.
+
+    Feasibility is settled first over GF(2): an odd covering exists iff the
+    all-ones vector lies in the span of the matching incidence vectors.  A
+    set of members is an odd covering iff the XOR of its members equals
+    all-ones.  An odd 3-covering partitions E, so size 3 needs two disjoint
+    members (b = 0).  When b > 0 and the edge x matching matrix has rank at
+    most ``WEIGHT_ENUMERATOR_MAX_RANK``, one weight-enumerator pass over the
+    2^rank combinations of its rows (``gf2_all_ones_subset_counts``) counts
+    the odd coverings of every size at once, and the subset search then runs
+    at the minimum size alone, for the witness.  Otherwise (b = 0, where a
+    disjoint pair settles size 3 at once, or above the rank limit) the
+    subset search scans the odd sizes.  Either way the witness is the
+    lexicographically smallest minimum odd covering.  The number of
+    minimum-size odd coverings is reported when the instance is small
+    enough (``_odd_count_reported``).
+    """
+    result = _odd_cover_size(g, catalog, cap)
+    if result.status != "ok" or result.witness is not None:
+        return result
+    # no smaller size has an odd covering, so the first subset found at this
+    # size is the one a scan over every size would find
+    witness, _ = _odd_subsets(
+        catalog.masks, catalog.index_by_mask, (1 << g.m) - 1, result.size, False
+    )
+    cov = Covering.from_indices(catalog, witness, CoveringKind.ODD)
+    return replace(result, witness=cov)
 
 
 def _odd_subsets(
@@ -606,9 +676,11 @@ def analyze_graph(
     the fields finished before it; the rest stay None, never guessed.
 
     When tau = 4 and no ``tau_odd_count`` of size 5 would be reported
-    (``_odd_count_reported``), tau_odd is 5 without an odd search: a
-    4-covering plus its doubly covered matching is an odd 5-covering, and
-    tau_odd is odd and at least tau.
+    (``_odd_count_reported``), tau_odd is 5 without an odd search or a
+    weight-enumerator pass: a 4-covering plus its doubly covered matching
+    is an odd 5-covering, and tau_odd is odd and at least tau.  Otherwise
+    tau_odd and its count come from ``_odd_cover_size``, which searches
+    for no witness when the weight enumerator settles them.
     """
     check_cap(cap)
     metrics: dict = {key: None for key in REPORT_FIELDS}
@@ -640,7 +712,7 @@ def analyze_graph(
                 odd5 = odd_covering_from_four_covering(tau.witness)
                 odd = OddCoverResult("ok", odd_cap, odd5.size, odd5)
             else:
-                odd = odd_covering_number(g, catalog, odd_cap)
+                odd = _odd_cover_size(g, catalog, odd_cap)
             if odd.status == "ok":
                 metrics["tau_odd"] = odd.size
                 metrics["tau_odd_count"] = odd.count_minimum

@@ -2,6 +2,7 @@ import math
 import signal
 import threading
 import time
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -44,7 +45,8 @@ from pmcover.coverings import (
     odd_covering_from_four_covering,
     odd_covering_number,
 )
-from pmcover.coverings import _lex_cover
+from pmcover import coverings
+from pmcover.coverings import _lex_cover, _odd_counts, _odd_subsets
 
 from test_graphs import bridged_double_k4
 
@@ -365,6 +367,117 @@ def _subset_xor_exists(masks, target):
     for mask in masks[half:]:
         probe |= {x ^ mask for x in probe}
     return any((target ^ p) in reach for p in probe)
+
+
+def k4_of(*blocks):
+    return k4_composition([(block, 0) for block in blocks])
+
+
+# analyze_graph reports on two of the paper's tau = 5 instances
+TAU5_REPORT = {
+    "bridges": 0, "cyclically4ec": False, "tau": 5, "tau_cap": 6,
+    "tau_odd": 7, "fulkerson": True, "berge5": True, "fr_triple": True,
+    "b": 1,
+}
+TAU5ODD_REPORT = dict(
+    TAU5_REPORT, n=20, m=30, pm_count=20, max_two_pm_union=19,
+    tau_odd_count=64,
+)
+PPKK_REPORT = dict(
+    TAU5_REPORT, n=28, m=42, pm_count=80, max_two_pm_union=27,
+    tau_odd_count=None,
+)
+
+
+class TestWeightEnumerator:
+    """Odd-covering counts from the weight enumerator of the matching code."""
+
+    # random:14:226, :246 and :264 have b = 1, the other random graphs b = 0;
+    # Petersen is left out, as the all-ones vector is not in its span
+    RANDOM = [(n, seed) for n in range(10, 19, 2) for seed in (0, 1)]
+    RANDOM += [(14, 226), (14, 246), (14, 264)]
+
+    @pytest.mark.parametrize(
+        "make",
+        [partial(random_bridgeless_cubic, n, seed) for n, seed in RANDOM]
+        + [partial(blanusa, 1), partial(blanusa, 2), partial(flower_snark, 5)],
+        ids=[f"random:{n}:{seed}" for n, seed in RANDOM]
+        + ["blanusa1", "blanusa2", "flower5"],
+    )
+    def test_counts_match_the_subset_search(self, make):
+        g, cat = catalog_of(make())
+        full = (1 << g.m) - 1
+        assert cat.count <= 48 and gf2_in_span(cat.masks, full)
+        counts = _odd_counts(cat, (3, 5, 7))
+        for size in (3, 5, 7):
+            _, found = _odd_subsets(cat.masks, cat.index_by_mask, full, size, True)
+            assert counts[size] == found, size
+
+    @pytest.mark.parametrize(
+        "make,counts",
+        [
+            (tau5odd_example, {3: 0, 5: 0, 7: 64}),
+            (lambda: flower_snark(5), {3: 0, 5: 230}),
+            (lambda: blanusa(1), {3: 0, 5: 32}),
+            (lambda: k4_of(petersen(), petersen(), k33(), k33()),
+             {3: 0, 5: 0, 7: 65536}),
+            (lambda: k4_of(petersen(), petersen(), prism(4), k33()),
+             {3: 0, 5: 0, 7: 573440}),
+            (lambda: k4_of(petersen(), petersen(), petersen(), theta()),
+             {3: 0, 5: 0, 7: 0, 9: 32768}),
+        ],
+        ids=["tau5odd", "flower5", "blanusa1", "K4(P,P,K33,K33)",
+             "K4(P,P,prism4,K33)", "K4(P,P,P,theta)"],
+    )
+    def test_known_counts(self, make, counts):
+        g, cat = catalog_of(make())
+        assert _odd_counts(cat, tuple(counts)) == counts
+
+    @pytest.mark.parametrize(
+        "make,report",
+        [(tau5odd_example, TAU5ODD_REPORT),
+         (lambda: k4_of(petersen(), petersen(), k33(), k33()), PPKK_REPORT)],
+        ids=["tau5odd", "K4(P,P,K33,K33)"],
+    )
+    def test_analyze_runs_no_subset_search_on_snarks(self, monkeypatch, make, report):
+        def no_search(*args):
+            raise AssertionError("subset search ran")
+
+        monkeypatch.setattr(coverings, "_odd_subsets", no_search)
+        assert analyze_graph(make()) == (report, "ok")
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: blanusa(1), lambda: flower_snark(5), tau5odd_example],
+        ids=["blanusa1", "flower5", "tau5odd"],
+    )
+    def test_search_above_the_rank_limit_agrees(self, monkeypatch, make):
+        g, cat = catalog_of(make())
+        fast = odd_covering_number(g, cat)
+        monkeypatch.setattr(coverings, "WEIGHT_ENUMERATOR_MAX_RANK", 5)
+        assert _odd_counts(cat, (3,)) is None
+        slow = odd_covering_number(g, cat)
+        assert (slow.status, slow.size, slow.count_minimum) == (
+            fast.status, fast.size, fast.count_minimum
+        )
+        assert slow.witness.members == fast.witness.members
+
+    def test_k4_p_p_flower5_theta(self):
+        # the paper instance the benchmark leaves out: the subset search runs
+        # for minutes on its 240 members, the weight enumerator for seconds
+        metrics, status = analyze_graph(
+            k4_of(petersen(), petersen(), flower_snark(5), theta())
+        )
+        assert status == "ok" and metrics["pm_count"] == 240
+        assert (metrics["tau"], metrics["tau_odd"]) == (5, 7)
+        assert metrics["tau_odd_count"] is None
+
+    def test_k4_p_p_p_theta_at_odd_cap_9(self):
+        g = k4_of(petersen(), petersen(), petersen(), theta())
+        assert analyze_graph(g)[0]["tau_odd"] is None
+        metrics, status = analyze_graph(g, odd_cap=9)
+        assert status == "ok" and metrics["tau_odd"] == 9
+        assert metrics["tau_odd_count"] is None
 
 
 class TestDerivedCoverings:
