@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan_args.add_argument("output")
     scan_args.add_argument(
         "--timeout-s", type=float, default=DEFAULT_TIMEOUT_S,
-        help="time limit per graph in seconds; 0 means no limit",
+        help="time limit per graph in seconds; 0 or inf means no limit",
     )
     scan_args.add_argument("--jobs", type=int, default=1, help="worker processes")
     p = sub.add_parser(

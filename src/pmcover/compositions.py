@@ -1,14 +1,15 @@
 """Graph-building operators: 2-cut and 3-cut connections and the K4 pattern.
 
-Every result records the linking edges it created in ``principal_cuts``
-(one 2-cut, one 3-cut, or the four 3-cuts of the K4 pattern), so covering
-solvers can assert cut-based facts without re-deriving the construction.
+The first operand keeps its vertex labels and each later one is shifted past
+the vertices before it, so the linking edges (one 2-cut, one 3-cut, or the
+four 3-cuts of the K4 pattern) are the edges with exactly one end in an
+operand's vertex range.
 """
 
 from __future__ import annotations
 
 from .errors import BadEdgeIndex, BadVertex, ConstructionFailed
-from .graphs import CubicGraph, edges_joining, find_bridges
+from .graphs import CubicGraph, find_bridges
 from .generators import petersen, theta
 
 
@@ -19,7 +20,7 @@ def two_cut_join(
 
     Endpoints are matched by ascending vertex label: the smaller endpoints
     of the two deleted edges are joined, likewise the larger ones.  The two
-    linking edges form the recorded 2-cut.
+    linking edges form a 2-edge cut.
     """
     if not 0 <= e1 < g1.m:
         raise BadEdgeIndex(f"e1={e1} out of range")
@@ -32,12 +33,8 @@ def two_cut_join(
     edges += [
         (a + off, b + off) for e, (a, b) in enumerate(g2.edges) if e != e2
     ]
-    links = [(u1, u2 + off), (v1, v2 + off)]
-    edges += links
-    out = CubicGraph(g1.n + g2.n, edges)
-    return CubicGraph(
-        out.n, out.edges, principal_cuts=(edges_joining(out, links),)
-    )
+    edges += [(u1, u2 + off), (v1, v2 + off)]
+    return CubicGraph(g1.n + g2.n, edges)
 
 
 def _delete_vertex(
@@ -47,11 +44,12 @@ def _delete_vertex(
     if not 0 <= v < g.n:
         raise BadVertex(f"vertex {v} out of range")
     relabel = [w if w < v else w - 1 for w in range(g.n)]
-    stubs = [relabel[g.other_end(e, v)] for e in g.incident(v)]
+    incident = g.incidence[v]
+    stubs = [relabel[g.other_end(e, v)] for e in incident]
     edges = [
         (relabel[a], relabel[b])
         for e, (a, b) in enumerate(g.edges)
-        if e not in g.incident(v)
+        if e not in incident
     ]
     return edges, stubs
 
@@ -62,18 +60,14 @@ def three_cut_join(
     """Delete one vertex in each graph and join the stubs pairwise.
 
     Stubs pair up by ascending incident-edge index at the deleted vertices;
-    the three linking edges form the recorded principal 3-edge cut.
+    the three linking edges form the principal 3-edge cut.
     """
     edges1, stubs1 = _delete_vertex(g1, v1)
     edges2, stubs2 = _delete_vertex(g2, v2)
     off = g1.n - 1
     edges = list(edges1) + [(a + off, b + off) for a, b in edges2]
-    links = [(s1, s2 + off) for s1, s2 in zip(stubs1, stubs2)]
-    edges += links
-    out = CubicGraph(g1.n + g2.n - 2, edges)
-    return CubicGraph(
-        out.n, out.edges, principal_cuts=(edges_joining(out, links),)
-    )
+    edges += [(s1, s2 + off) for s1, s2 in zip(stubs1, stubs2)]
+    return CubicGraph(g1.n + g2.n - 2, edges)
 
 
 # one linking edge between each pair of the four blocks, labeling each
@@ -94,37 +88,23 @@ def k4_composition(
     """Join four vertex-deleted blocks in the K4 pattern.
 
     Deletes each distinguished vertex and adds one linking edge between
-    every pair of blocks; the recorded cuts are the four principal 3-edge
-    cuts, one around each block.
+    every pair of blocks, so the three linking edges at each block form its
+    principal 3-edge cut.
     """
     if len(blocks) != 4:
         raise BadVertex("K4 composition needs exactly four blocks")
-    offsets: list[int] = []
     edges: list[tuple[int, int]] = []
     stub_of: list[dict[str, int]] = []
     total = 0
     for g, v in blocks:
         block_edges, stubs = _delete_vertex(g, v)
-        offsets.append(total)
         edges += [(a + total, b + total) for a, b in block_edges]
         stub_of.append(
             {"a": stubs[0] + total, "b": stubs[1] + total, "c": stubs[2] + total}
         )
         total += g.n - 1
-    links = [
-        (stub_of[i][x], stub_of[j][y]) for i, x, j, y in _K4_LINKS
-    ]
-    edges += links
-    out = CubicGraph(total, edges)
-    cuts = []
-    for b in range(4):
-        touching = [
-            links[idx]
-            for idx, (i, _, j, _) in enumerate(_K4_LINKS)
-            if b in (i, j)
-        ]
-        cuts.append(edges_joining(out, touching))
-    return CubicGraph(out.n, out.edges, principal_cuts=tuple(cuts))
+    edges += [(stub_of[i][x], stub_of[j][y]) for i, x, j, y in _K4_LINKS]
+    return CubicGraph(total, edges)
 
 
 def tau5odd_example() -> CubicGraph:

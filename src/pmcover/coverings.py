@@ -35,7 +35,7 @@ from __future__ import annotations
 import signal
 import time
 from bisect import bisect_right
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice
@@ -99,8 +99,11 @@ class Covering:
 
     @classmethod
     def from_matchings(
-        cls, graph: CubicGraph, matchings, kind: CoveringKind
+        cls, graph: CubicGraph, matchings, kind: CoveringKind, catalog=None
     ) -> "Covering":
+        """A covering of these matchings; backed by ``catalog`` when given."""
+        if catalog is not None:
+            return cls.from_indices(catalog, map(catalog.index_of, matchings), kind)
         ordered = tuple(sorted(matchings, key=lambda s: s.bits))
         cov = cls(graph, ordered, kind)
         cov.validate()
@@ -539,13 +542,8 @@ def odd_covering_from_four_covering(cov4: Covering) -> Covering:
     extra = report.doubly_covered
     mults = [c + (1 if e in extra else 0) for e, c in enumerate(report.vector)]
     assert set(mults) <= {1, 3}, "derived covering not odd"
-    if cov4.catalog is not None and cov4.members is not None:
-        idx = cov4.catalog.index_of(extra)
-        return Covering.from_indices(
-            cov4.catalog, cov4.members + (idx,), CoveringKind.ODD
-        )
     return Covering.from_matchings(
-        cov4.graph, cov4.matchings + (extra,), CoveringKind.ODD
+        cov4.graph, cov4.matchings + (extra,), CoveringKind.ODD, cov4.catalog
     )
 
 
@@ -553,12 +551,8 @@ def double_covering(cov: Covering) -> Covering:
     """Take every member twice: an even covering of twice the size."""
     if cov.kind is not CoveringKind.PLAIN:
         raise NotACovering("doubling expects a plain covering")
-    if cov.catalog is not None and cov.members is not None:
-        return Covering.from_indices(
-            cov.catalog, cov.members * 2, CoveringKind.EVEN
-        )
     return Covering.from_matchings(
-        cov.graph, cov.matchings * 2, CoveringKind.EVEN
+        cov.graph, cov.matchings * 2, CoveringKind.EVEN, cov.catalog
     )
 
 
@@ -636,7 +630,8 @@ def _time_limit(deadline: float | None):
     deadline needs POSIX and the main thread (elsewhere ``signal.signal``
     raises ValueError), and it refuses with ValueError while the caller's own
     interval timer is armed, which it would cancel.  Without a deadline no
-    signal is touched.
+    signal is touched.  A deadline too far off for the timer to hold (inf
+    among them) is never reached, so it arms no timer.
     """
     if deadline is None:
         yield
@@ -648,7 +643,8 @@ def _time_limit(deadline: float | None):
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             raise DeadlineExceeded
-        signal.setitimer(signal.ITIMER_REAL, remaining)
+        with suppress(OverflowError):
+            signal.setitimer(signal.ITIMER_REAL, remaining)
         yield
     finally:
         try:  # the alarm may still fire here; restore the handler regardless

@@ -4,8 +4,10 @@ Vertices are 0..n-1.  Edges carry dense indices 0..m-1 that stay stable for
 the lifetime of a graph: the edge list is sorted by (min endpoint, max
 endpoint), parallel edges sitting next to each other in insertion order.
 Parallel edges are allowed (the two-vertex theta graph is a legal operand),
-loops are not.  Everything is immutable after construction, so instances can
-be shared freely between threads.
+loops are not.  A graph is its vertex count and its edge list: equality,
+hashing, pickling and graph6 read nothing else, and ``incidence[v]`` holds
+the three edge ids at v.  Everything is immutable after construction, so
+instances can be shared freely between threads.
 
 Edge subsets (matchings, cuts, cycle edge sets) are ``EdgeSet`` values: a
 fixed-width bit vector over edge indices backed by a plain int.
@@ -123,14 +125,9 @@ class EdgeSet:
 class CubicGraph:
     """Immutable 3-regular multigraph with canonically ordered edges."""
 
-    __slots__ = ("n", "edges", "incidence", "principal_cuts", "_adj")
+    __slots__ = ("n", "edges", "incidence", "_adj")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        principal_cuts: tuple[EdgeSet, ...] = (),
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n <= 0 or n % 2:
             raise NotCubic(f"vertex count must be positive and even, got {n}")
         normalized = []
@@ -156,14 +153,13 @@ class CubicGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edge_tuple)
         object.__setattr__(self, "incidence", tuple(tuple(i) for i in incidence))
-        object.__setattr__(self, "principal_cuts", tuple(principal_cuts))
         object.__setattr__(self, "_adj", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicGraph is immutable")
 
     def __reduce__(self):
-        return (CubicGraph, (self.n, self.edges, self.principal_cuts))
+        return (CubicGraph, (self.n, self.edges))
 
     @property
     def m(self) -> int:
@@ -181,9 +177,6 @@ class CubicGraph:
         if v == w:
             return u
         raise BadEdgeIndex(f"vertex {v} is not an endpoint of edge {e}")
-
-    def incident(self, v: int) -> tuple[int, int, int]:
-        return self.incidence[v]
 
     def edge_ids_between(self, u: int, v: int) -> tuple[int, ...]:
         return tuple(e for e in self.incidence[u] if self.other_end(e, u) == v)

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CatalogMismatch, FewerThanTwoMatchings, TooManyMatchings
+from .errors import (
+    CatalogMismatch,
+    EnumerationTooDeep,
+    FewerThanTwoMatchings,
+    TooManyMatchings,
+)
 from .graphs import CubicGraph, EdgeSet, _bfs_forest
 
 
@@ -83,8 +89,8 @@ class PMCatalog:
                     best = inter
                     best_pair = (i, j)
                     if inter == 0:
-                        return PairStats(0, best_pair, self.graph.n, best_pair)
-        return PairStats(best, best_pair, self.graph.n - best, best_pair)
+                        return PairStats(0, best_pair, self.graph.n)
+        return PairStats(best, best_pair, self.graph.n - best)
 
 
 def check_catalog(g: CubicGraph, catalog: PMCatalog) -> None:
@@ -106,7 +112,8 @@ def enumerate_perfect_matchings(
     order, branching over its incident edges.  Following the BFS order keeps
     the saturated region connected, so few branches strand a free vertex
     whose neighbours are all taken.  Bit p of ``saturated`` stands for the
-    p-th vertex in that order.
+    p-th vertex in that order.  The recursion is n/2 deep, so a graph too
+    big for the interpreter's recursion limit raises EnumerationTooDeep.
     """
     check_max_matchings(max_matchings)
     full = (1 << g.n) - 1
@@ -134,7 +141,13 @@ def enumerate_perfect_matchings(
             if not saturated & end_bit:
                 extend(saturated | low | end_bit, chosen | edge_bit)
 
-    extend(0, 0)
+    try:
+        extend(0, 0)
+    except RecursionError:
+        raise EnumerationTooDeep(
+            f"a graph with n={g.n} vertices is too big to enumerate: the search "
+            f"recurses n/2 deep, past the recursion limit {sys.getrecursionlimit()}"
+        ) from None
     found.sort()
     return PMCatalog(g, tuple(EdgeSet(g.m, bits) for bits in found))
 
@@ -146,7 +159,6 @@ class PairStats:
     min_intersection: int
     argmin: tuple[int, int]
     max_union: int
-    argmax: tuple[int, int]
 
 
 def pm_pair_stats(catalog: PMCatalog) -> PairStats:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .coverings import DEFAULT_CAP, DEFAULT_ODD_CAP, analyze_graph, check_cap
-from .errors import GraphError, TooManyMatchings
+from .errors import EnumerationTooDeep, GraphError, TooManyMatchings
 from .generators import is_petersen
 from .graph6 import iter_graph6_file, parse_graph6, to_graph6
 from .matchings import check_max_matchings
@@ -103,7 +103,7 @@ def _scan_one(payload: tuple[str, int, int, float | None, int | None]) -> ScanRe
             max_matchings=max_matchings, deadline=deadline,
         )
         error = None
-    except TooManyMatchings as exc:
+    except (TooManyMatchings, EnumerationTooDeep) as exc:
         metrics, status, error = {}, "error", str(exc)
     ms = int((time.monotonic() - start) * 1000)
     return ScanRecord(gid, metrics, status, ms, error)
@@ -134,14 +134,14 @@ def run_scan(
     abort the scan.  Each record is written and flushed as soon as it and
     every record before it are done, in input order, also with jobs > 1,
     which runs up to ``jobs`` worker processes but never more than graphs.
-    A ``timeout_s`` of 0 or None means no time limit.  Bad parameters raise
-    ValueError before the output is opened.
+    A ``timeout_s`` of 0, None or inf means no time limit.  Bad parameters
+    (NaN among them) raise ValueError before the output is opened.
     """
     check_cap(cap)
     check_max_matchings(max_matchings)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if timeout_s is not None and timeout_s < 0:
+    if timeout_s is not None and not timeout_s >= 0:
         raise ValueError(f"timeout_s must be nonnegative, got {timeout_s}")
     output_path = Path(output_path)
     done: set[str] = set()

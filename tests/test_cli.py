@@ -1,8 +1,13 @@
+import inspect
 import json
+import math
+import signal
+import sys
 
 import pytest
 
 from pmcover.cli import main
+from pmcover.coverings import analyze_graph
 import pmcover.scan
 from pmcover.generators import petersen, prism, random_bridgeless_cubic
 from pmcover.graph6 import parse_graph6, to_graph6
@@ -452,10 +457,12 @@ def test_analyze_non_ascii_file_is_a_graph6_error(tmp_path, capsys):
     [({"jobs": 0}, ("--jobs", "0"), "jobs must be at least 1, got 0"),
      ({"timeout_s": -1.0}, ("--timeout-s", "-1"),
       "timeout_s must be nonnegative, got -1.0"),
+     ({"timeout_s": math.nan}, ("--timeout-s", "nan"),
+      "timeout_s must be nonnegative, got nan"),
      ({"cap": 2}, ("--cap", "2"), "cap must be at least 3, got 2"),
      ({"max_matchings": -1}, ("--max-pm", "-1"),
       "max_matchings must be nonnegative, got -1")],
-    ids=["jobs-0", "timeout-negative", "cap-2", "max-pm-negative"],
+    ids=["jobs-0", "timeout-negative", "timeout-nan", "cap-2", "max-pm-negative"],
 )
 def test_scan_rejects_bad_jobs_and_timeout(tmp_path, capsys, kwargs, flag, message):
     corpus = tmp_path / "c.g6"
@@ -466,6 +473,39 @@ def test_scan_rejects_bad_jobs_and_timeout(tmp_path, capsys, kwargs, flag, messa
     code, _, err = run(capsys, "scan", str(corpus), str(out_file), *flag)
     assert code == 2 and message in err
     assert not out_file.exists()
+
+
+def test_an_infinite_timeout_is_no_limit(tmp_path):
+    # setitimer cannot hold inf (nor 1e10 s): no timer is armed at all
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(to_graph6(petersen()) + "\n")
+    out_file = tmp_path / "r.jsonl"
+    for timeout_s in (math.inf, 1e10):
+        out_file.unlink(missing_ok=True)
+        run_scan(corpus, out_file, timeout_s=timeout_s)
+        (record,) = map(ScanRecord.from_json, out_file.read_text().splitlines())
+        assert record.status == "ok" and record.metrics["tau"] == 5
+    assert analyze_graph(petersen(), deadline=math.inf)[1] == "ok"
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+def test_a_graph_too_big_to_enumerate_is_an_error_not_a_traceback(tmp_path, capsys):
+    # enumeration recurses n/2 = 60 deep on prism(60), past a limit 40 frames
+    # above the caller: the same failure as the default limit on prism(1100)
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(to_graph6(prism(60)) + "\n")
+    out_file = tmp_path / "r.jsonl"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        code, _, err = run(capsys, "analyze", "prism:60")
+        summary = run_scan(corpus, out_file)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2 and err.startswith("error: a graph with n=120 vertices")
+    assert summary.errors == 1
+    (record,) = map(ScanRecord.from_json, out_file.read_text().splitlines())
+    assert record.status == "error" and "n=120" in record.error
 
 
 THETA_TEXT = (

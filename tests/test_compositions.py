@@ -20,13 +20,15 @@ from pmcover.generators import (
 from pmcover.graphs import cyclic_connectivity_at_least, find_bridges
 from pmcover.matchings import enumerate_perfect_matchings
 
+from test_graphs import crossing_edges
+
 
 class TestTwoCutJoin:
     def test_shape_and_cut_recorded(self):
         g = two_cut_join(petersen(), 0, petersen(), 0)
         assert g.n == 20 and g.m == 30
-        (cut,) = g.principal_cuts
-        assert len(cut) == 2
+        # the linking edges are all that leaves the first operand
+        assert len(crossing_edges(g, 0, 10)) == 2
         assert not find_bridges(g)
 
     def test_creates_cyclic_2_cut(self):
@@ -61,8 +63,8 @@ class TestThreeCutJoin:
     def test_bridgeless_output(self):
         g = three_cut_join(petersen(), 0, k33(), 0)
         assert g.n == 14 and not find_bridges(g)
-        (cut,) = g.principal_cuts
-        assert len(cut) == 3
+        # petersen - 0 keeps vertices 0..8
+        assert len(crossing_edges(g, 0, 9)) == 3
 
     def test_petersen_k33_tau_at_least_5(self):
         g = three_cut_join(petersen(), 0, k33(), 0)
@@ -90,7 +92,7 @@ class TestThreeCutJoin:
         # tau is 4 here, so this is the lex-smallest 4-covering
         cov = covering_number(g, cat, cap=4).witness
         if cov is not None:
-            (cut,) = g.principal_cuts
+            cut = crossing_edges(g, 0, 9)
             assert any(cut <= pm for pm in cov.matchings)
 
     def test_theta_collapses_to_single_vertex(self):
@@ -109,8 +111,9 @@ class TestK4Composition:
             [(petersen(), 0), (petersen(), 0), (theta(), 0), (theta(), 0)]
         )
         assert g.n == 9 + 9 + 1 + 1
-        assert len(g.principal_cuts) == 4
-        assert all(len(cut) == 3 for cut in g.principal_cuts)
+        # one principal 3-cut around each block
+        blocks = [(0, 9), (9, 18), (18, 19), (19, 20)]
+        assert [len(crossing_edges(g, lo, hi)) for lo, hi in blocks] == [3] * 4
 
     def test_all_k4_blocks_are_colorable(self):
         g = k4_composition([(k4(), 0)] * 4)
@@ -131,7 +134,9 @@ class TestK4Composition:
             return v // 3
 
         seen = set()
-        for cut in g.principal_cuts:
+        for b in range(4):
+            cut = crossing_edges(g, 3 * b, 3 * b + 3)
+            assert len(cut) == 3
             for e in cut:
                 u, v = g.endpoints(e)
                 pair = tuple(sorted((block_of(u), block_of(v))))

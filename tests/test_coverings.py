@@ -506,6 +506,17 @@ class TestDerivedCoverings:
         assert even8.size == 8
         assert set(even8.multiplicities()) <= {2, 4}
 
+    def test_derived_coverings_keep_the_catalog(self):
+        cat, cov4 = self._four_covering(blanusa(1))
+        doubly = covering_multiplicities(cov4).doubly_covered
+        odd5 = odd_covering_from_four_covering(cov4)
+        even8 = double_covering(cov4)
+        assert odd5.members == tuple(sorted(cov4.members + (cat.index_of(doubly),)))
+        assert even8.members == tuple(sorted(cov4.members * 2))
+        for cov in (odd5, even8):
+            assert cov.catalog is cat
+            assert cov.matchings == tuple(cat.matchings[i] for i in cov.members)
+
     def test_doubled_3_coloring_is_degenerate_fulkerson(self):
         g, cat = catalog_of(k4())
         cov3 = covering_number(g, cat, cap=3).witness

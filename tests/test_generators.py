@@ -40,7 +40,7 @@ def girth(g):
         queue = collections.deque([root])
         while queue:
             v = queue.popleft()
-            for e in g.incident(v):
+            for e in g.incidence[v]:
                 w = g.other_end(e, v)
                 if e == parent_edge[v]:
                     continue

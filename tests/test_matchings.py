@@ -83,7 +83,7 @@ def test_bridged_graph_misses_edges():
     # every edge incident to the bridge endpoints except the bridge itself
     bridge = g.edge_ids_between(8, 9)[0]
     for v in (8, 9):
-        for e in g.incident(v):
+        for e in g.incidence[v]:
             if e != bridge:
                 assert e in missing
 
@@ -120,7 +120,7 @@ def test_pair_stats_k4_disjoint():
     stats = pm_pair_stats(enumerate_perfect_matchings(k4()))
     assert stats.min_intersection == 0
     assert stats.max_union == 4
-    assert stats.argmin == (0, 1) and stats.argmax == (0, 1)
+    assert stats.argmin == (0, 1)
 
 
 def test_pair_stats_blanusa_balanced_matching():
@@ -163,7 +163,7 @@ def test_pair_stats_view_matches_a_full_pair_scan():
         pair = min(p for p, c in inter.items() if c == best)
         assert cat.pair_stats == pm_pair_stats(cat)
         assert cat.pair_stats.min_intersection == best
-        assert cat.pair_stats.argmin == cat.pair_stats.argmax == pair
+        assert cat.pair_stats.argmin == pair
         assert cat.pair_stats.max_union == g.n - best
 
 
