@@ -20,6 +20,12 @@ covering searches use what that forces:
   4-covering makes it odd, and tau_odd is odd and at least tau;
   ``analyze_graph`` takes tau_odd from that rule whenever no count is
   reported, so no odd search or count runs there;
+* when b > 0 that matching is a fifth member, so no odd 5-covering (or no
+  odd covering at all) refutes k = 4: ``_cover_size`` walks a step budget
+  of FR triples and then asks the weight enumerator below, instead of
+  walking them all; it decides k >= 5 by existence alone, and from N_5 > 0
+  alone once k = 4 is out, leaving the lex-first witness to
+  ``covering_number``;
 * an odd s-covering is an s-set of columns of the edge x matching matrix
   over GF(2) whose XOR is all-ones, and when b > 0 the number of them,
   for every s at once, comes from the weight enumerator of the row space:
@@ -27,11 +33,14 @@ covering searches use what that forces:
   snarks tried).  The pass costs 2^r whatever the catalog, so above
   ``WEIGHT_ENUMERATOR_MAX_RANK`` the subset search runs instead; it also
   runs when b = 0, where a disjoint pair settles tau_odd = 3 at once.  The
-  subset search still finds the witness, at the minimum size alone.
+  subset search still finds the witness, at the minimum size alone.  The
+  pass is cached on the catalog (``PMCatalog.weight_enumerator``), so the
+  tau and tau_odd phases share it.
 """
 
 from __future__ import annotations
 
+import math
 import signal
 import time
 from bisect import bisect_right
@@ -61,6 +70,7 @@ from .graphs import (
 from .matchings import (
     PMCatalog,
     check_catalog,
+    check_enumeration_depth,
     enumerate_perfect_matchings,
 )
 
@@ -269,15 +279,17 @@ def _four_cover(
     masks: tuple[int, ...],
     by_edge: tuple[tuple[int, ...], ...],
     full: int,
+    triples,
 ) -> tuple[int, ...] | None:
-    """Lexicographically smallest 4-covering, given that no 3-covering exists.
+    """The first 4-covering along a walk of FR triples, given no 3-covering.
 
     Every 3 members of a 4-covering form an FR triple, so walking the FR
-    triples i<j<k in lex order and completing each with the smallest l > k
-    that contains T0, the edges the triple leaves uncovered, finds the
-    lex-smallest 4-covering first.
+    triples i<j<k in lex order (``_fr_triples``) and completing each with
+    the smallest l > k that contains T0, the edges the triple leaves
+    uncovered, finds the lex-smallest 4-covering first.  ``triples`` is that
+    walk or a stretch of it: the walk can stop and later resume.
     """
-    for i, j, k, union in _fr_triples(masks):
+    for i, j, k, union in triples:
         t0 = full & ~union
         # an FR triple covering E would be a 3-covering
         assert t0, "3-covering reached the 4-covering search"
@@ -304,6 +316,66 @@ def check_cap(cap: int) -> None:
         raise InvalidParams(f"cap must be at least 3, got {cap}")
 
 
+# Before the weight-enumerator pass (2^r steps, r the rank) tries to refute
+# k = 4, the FR walk takes at most 2^r >> FR_BUDGET_SHIFT triples (at least
+# one): a step budget, so the outcome never depends on timing.  On the tau = 4
+# families tried the walk reaches its 4-covering within it (flower 5 in 23 of
+# 64 triples); on the tau = 5 instances it runs 376 to 269,496 triples.
+FR_BUDGET_SHIFT = 5
+
+
+def _cover_size(g: CubicGraph, catalog: PMCatalog, cap: int) -> TauResult:
+    """tau up to ``cap``, with a witness only when one comes for free.
+
+    The witness comes with tau = 3 (b = 0) and tau = 4, never with tau >= 5.
+    When b > 0 and the rank is at most ``WEIGHT_ENUMERATOR_MAX_RANK``, the
+    FR walk for a 4-covering stops after its budget (``FR_BUDGET_SHIFT``)
+    and k = 4 is refuted if the all-ones vector is outside the span or N_5,
+    the number of odd 5-coverings, is 0: a 4-covering plus its doubly
+    covered matching is an odd 5-covering by 5 distinct members when b > 0
+    (the matching among the four would leave the other three an odd
+    3-covering, which needs b = 0).  Unrefuted, the walk resumes where it
+    stopped.  Once k = 4 is out, N_5 > 0 gives tau = 5 (an odd 5-covering
+    is a 5-covering), and otherwise each k >= 5 is decided by existence.
+    """
+    check_catalog(g, catalog)
+    check_cap(cap)
+    masks, by_edge = catalog.masks, catalog.by_edge
+    full = (1 << g.m) - 1
+    if catalog.union != full:
+        return TauResult("infeasible", cap)
+    half = g.n // 2
+    if _has_disjoint_pair(catalog):
+        # the disjoint pair and the matching on the edges it leaves
+        witness = _lex_cover(masks, by_edge, full, 3, half)
+        return TauResult(
+            "ok", cap, 3, Covering.from_indices(catalog, witness, CoveringKind.PLAIN)
+        )
+    if cap < 4:
+        return TauResult("exceeds", cap)
+    walk = _fr_triples(masks)
+    witness = None
+    odd5 = None  # N_5, once counted; 0 refutes k = 4
+    rank = len(catalog.edge_row_basis)
+    if rank <= WEIGHT_ENUMERATOR_MAX_RANK:
+        budget = max(1, (1 << rank) >> FR_BUDGET_SHIFT)
+        witness = _four_cover(masks, by_edge, full, islice(walk, budget))
+        if witness is None:
+            odd5 = _odd_counts(catalog, (5,))[5] if gf2_in_span(masks, full) else 0
+    if witness is None and odd5 != 0:
+        witness = _four_cover(masks, by_edge, full, walk)
+    if witness is not None:
+        return TauResult(
+            "ok", cap, 4, Covering.from_indices(catalog, witness, CoveringKind.PLAIN)
+        )
+    if odd5 and cap >= 5:
+        return TauResult("ok", cap, 5)
+    for k in range(5, cap + 1):
+        if _min_cover_exists(masks, by_edge, full, k, 0, 0, half):
+            return TauResult("ok", cap, k)
+    return TauResult("exceeds", cap)
+
+
 def covering_number(
     g: CubicGraph, catalog: PMCatalog, cap: int = DEFAULT_CAP
 ) -> TauResult:
@@ -313,27 +385,21 @@ def covering_number(
     graphs), and exceeds when the minimum is larger than ``cap``.  A
     3-covering partitions E, so it is ruled out without search unless two
     members are disjoint.  A 4-covering is found by walking FR triples
-    (``_four_cover``), and larger ones by branch-and-bound set cover.  The
-    witness is the lexicographically smallest covering in every case.
+    (``_four_cover``).  When b > 0 and the rank is at most
+    ``WEIGHT_ENUMERATOR_MAX_RANK``, the walk is cut short where the weight
+    enumerator refutes k = 4 (``_cover_size``), and tau >= 5 is decided by
+    existence alone; branch-and-bound set cover then finds the witness at
+    that size.  The witness is the lexicographically smallest covering in
+    every case.
     """
-    check_catalog(g, catalog)
-    check_cap(cap)
-    masks, by_edge = catalog.masks, catalog.by_edge
-    full = (1 << g.m) - 1
-    if catalog.union != full:
-        return TauResult("infeasible", cap)
-    half = g.n // 2
-    for k in range(3, cap + 1):
-        if k == 3 and not _has_disjoint_pair(catalog):
-            continue
-        if k == 4:
-            witness_idx = _four_cover(masks, by_edge, full)
-        else:
-            witness_idx = _lex_cover(masks, by_edge, full, k, half)
-        if witness_idx is not None:
-            witness = Covering.from_indices(catalog, witness_idx, CoveringKind.PLAIN)
-            return TauResult("ok", cap, k, witness)
-    return TauResult("exceeds", cap)
+    result = _cover_size(g, catalog, cap)
+    if result.status != "ok" or result.witness is not None:
+        return result
+    witness = _lex_cover(
+        catalog.masks, catalog.by_edge, (1 << g.m) - 1, result.tau, g.n // 2
+    )
+    cov = Covering.from_indices(catalog, witness, CoveringKind.PLAIN)
+    return replace(result, witness=cov)
 
 
 def covering_multiplicities(cov: Covering) -> MultiplicityReport:
@@ -405,19 +471,23 @@ def _odd_count_reported(size: int, catalog: PMCatalog) -> bool:
 
 # The weight-enumerator pass walks 2^r row combinations, r the GF(2) rank of
 # the edge x matching matrix (n/2 + 1 on the snarks tried; r = 20 takes about
-# 0.3 s and each step up doubles it); above this rank the subset search runs.
+# 0.3 s and each step up doubles it); above this rank the subset search finds
+# tau_odd, and the FR walk for a 4-covering runs without a budget.
 WEIGHT_ENUMERATOR_MAX_RANK = 20
 
 
 def _odd_counts(catalog: PMCatalog, sizes) -> dict[int, int] | None:
     """The number of odd coverings of each size, given that one exists.
 
-    Row e of the edge x matching matrix has bit i set when member i holds
-    edge e.  None when its rank exceeds ``WEIGHT_ENUMERATOR_MAX_RANK``.
+    They come from ``PMCatalog.weight_enumerator``, so the pass runs at most
+    once per catalog, whichever phase asks first.  None when the rank
+    exceeds ``WEIGHT_ENUMERATOR_MAX_RANK``.
     """
-    rows = (sum(1 << i for i in holders) for holders in catalog.by_edge)
+    rank = len(catalog.edge_row_basis)
+    if rank > WEIGHT_ENUMERATOR_MAX_RANK:
+        return None
     return gf2_all_ones_subset_counts(
-        rows, catalog.count, sizes, WEIGHT_ENUMERATOR_MAX_RANK
+        catalog.weight_enumerator, rank, catalog.count, sizes
     )
 
 
@@ -671,14 +741,23 @@ def analyze_graph(
     or while the caller's own real interval timer is armed.  A timeout keeps
     the fields finished before it; the rest stay None, never guessed.
 
-    When tau = 4 and no ``tau_odd_count`` of size 5 would be reported
-    (``_odd_count_reported``), tau_odd is 5 without an odd search or a
-    weight-enumerator pass: a 4-covering plus its doubly covered matching
-    is an odd 5-covering, and tau_odd is odd and at least tau.  Otherwise
-    tau_odd and its count come from ``_odd_cover_size``, which searches
-    for no witness when the weight enumerator settles them.
+    tau comes from ``_cover_size``, which looks for no lex-first witness:
+    when b > 0 and the rank is at most ``WEIGHT_ENUMERATOR_MAX_RANK``, the
+    weight enumerator refutes k = 4 after a budgeted FR walk, and tau >= 5
+    is decided by existence, or by N_5 > 0 alone.  When tau = 4 and no
+    ``tau_odd_count`` of size 5 would be reported (``_odd_count_reported``),
+    tau_odd is 5 without an odd search or a weight-enumerator pass: a
+    4-covering plus its doubly covered matching is an odd 5-covering, and
+    tau_odd is odd and at least tau.  Otherwise tau_odd and its count come
+    from ``_odd_cover_size``, which reads the weight-enumerator pass the tau
+    phase ran, if it ran, and searches for no witness when the enumerator
+    settles them.  A NaN ``deadline`` and a graph too big to enumerate
+    (EnumerationTooDeep) are refused before the first phase.
     """
     check_cap(cap)
+    if deadline is not None and math.isnan(deadline):
+        raise ValueError("deadline must be a time.monotonic() value, got nan")
+    check_enumeration_depth(g)
     metrics: dict = {key: None for key in REPORT_FIELDS}
     metrics["n"], metrics["m"] = g.n, g.m
     metrics["tau_cap"] = cap
@@ -695,7 +774,7 @@ def analyze_graph(
                 metrics["b"] = stats.min_intersection
                 metrics["max_two_pm_union"] = stats.max_union
             # one search decides tau up to cap and berge5 (tau <= 5)
-            tau = covering_number(g, catalog, max(cap, 5))
+            tau = _cover_size(g, catalog, max(cap, 5))
             if tau.status == "infeasible":
                 status = "infeasible"
             elif tau.status == "ok" and tau.tau <= cap:

@@ -12,6 +12,7 @@ from .errors import (
     FewerThanTwoMatchings,
     TooManyMatchings,
 )
+from .gf2 import gf2_independent_rows, gf2_signed_weights
 from .graphs import CubicGraph, EdgeSet, _bfs_forest
 
 
@@ -21,8 +22,9 @@ class PMCatalog:
 
     Matchings are sorted by ascending bit pattern, so catalog indices are
     deterministic across runs.  The derived views every solver reads
-    (``masks``, ``by_edge``, ``union``, ``index_by_mask``, ``pair_stats``)
-    are each built at most once, on first access.
+    (``masks``, ``by_edge``, ``edge_rows``, ``union``, ``index_by_mask``,
+    ``pair_stats`` and the GF(2) views of the edge rows) are each built at
+    most once, on first access.
     """
 
     graph: CubicGraph
@@ -47,6 +49,33 @@ class PMCatalog:
                 lists[low.bit_length() - 1].append(i)
                 bits ^= low
         return tuple(map(tuple, lists))
+
+    @cached_property
+    def edge_rows(self) -> tuple[int, ...]:
+        """Row e of the edge x member matrix: bit i set when member i holds e.
+
+        The transpose of ``masks``, read off their binary strings joined
+        from the last member to the first: row e is every m-th character,
+        starting at edge e's place.
+        """
+        m = self.graph.m
+        bits = "".join(format(mask, f"0{m}b") for mask in reversed(self.masks))
+        return tuple(int(bits[m - 1 - e :: m] or "0", 2) for e in range(m))
+
+    @cached_property
+    def edge_row_basis(self) -> tuple[int, ...]:
+        """The edge rows independent of those before them; their number is
+        the GF(2) rank of the edge x member matrix."""
+        return tuple(gf2_independent_rows(self.edge_rows))
+
+    @cached_property
+    def weight_enumerator(self) -> tuple[tuple[int, int], ...]:
+        """``gf2_signed_weights`` of the row space of the edge x member matrix.
+
+        One pass over the 2^rank combinations of ``edge_row_basis``, so
+        callers bound the rank before they read it.
+        """
+        return gf2_signed_weights(self.edge_row_basis, self.count)
 
     @cached_property
     def union(self) -> int:
@@ -103,6 +132,28 @@ def check_max_matchings(max_matchings: int | None) -> None:
         raise ValueError(f"max_matchings must be nonnegative, got {max_matchings}")
 
 
+def _too_deep(g: CubicGraph) -> EnumerationTooDeep:
+    return EnumerationTooDeep(
+        f"a graph with n={g.n} vertices is too big to enumerate: the search "
+        f"recurses n/2 deep, past the recursion limit {sys.getrecursionlimit()}"
+    )
+
+
+def check_enumeration_depth(g: CubicGraph) -> None:
+    """Raise EnumerationTooDeep when the n/2-deep enumeration, called from
+    the caller's frame, would pass the recursion limit.
+
+    Only the frames already on the stack are counted, so a graph this lets
+    through can still fail inside ``enumerate_perfect_matchings``, a few
+    frames deeper, with the same error.
+    """
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    if depth + g.n // 2 > sys.getrecursionlimit():
+        raise _too_deep(g)
+
+
 def enumerate_perfect_matchings(
     g: CubicGraph, max_matchings: int | None = None
 ) -> PMCatalog:
@@ -144,10 +195,7 @@ def enumerate_perfect_matchings(
     try:
         extend(0, 0)
     except RecursionError:
-        raise EnumerationTooDeep(
-            f"a graph with n={g.n} vertices is too big to enumerate: the search "
-            f"recurses n/2 deep, past the recursion limit {sys.getrecursionlimit()}"
-        ) from None
+        raise _too_deep(g) from None
     found.sort()
     return PMCatalog(g, tuple(EdgeSet(g.m, bits) for bits in found))
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from pmcover.cli import main
+from pmcover import coverings
 from pmcover.coverings import analyze_graph
 import pmcover.scan
 from pmcover.generators import petersen, prism, random_bridgeless_cubic
@@ -489,9 +490,16 @@ def test_an_infinite_timeout_is_no_limit(tmp_path):
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
-def test_a_graph_too_big_to_enumerate_is_an_error_not_a_traceback(tmp_path, capsys):
+def test_a_graph_too_big_to_enumerate_is_an_error_not_a_traceback(
+    tmp_path, capsys, monkeypatch
+):
     # enumeration recurses n/2 = 60 deep on prism(60), past a limit 40 frames
-    # above the caller: the same failure as the default limit on prism(1100)
+    # above the caller: the same failure as the default limit on prism(1100),
+    # reported before cyclic connectivity (seconds on prism(1100)) runs
+    def not_reached(*args):
+        raise AssertionError("cyclic connectivity ran")
+
+    monkeypatch.setattr(coverings, "cyclic_connectivity_at_least", not_reached)
     corpus = tmp_path / "c.g6"
     corpus.write_text(to_graph6(prism(60)) + "\n")
     out_file = tmp_path / "r.jsonl"

@@ -45,8 +45,14 @@ from pmcover.coverings import (
     odd_covering_from_four_covering,
     odd_covering_number,
 )
-from pmcover import coverings
-from pmcover.coverings import _lex_cover, _odd_counts, _odd_subsets
+from pmcover import coverings, matchings
+from pmcover.coverings import (
+    _cover_size,
+    _lex_cover,
+    _min_cover_exists,
+    _odd_counts,
+    _odd_subsets,
+)
 
 from test_graphs import bridged_double_k4
 
@@ -173,6 +179,98 @@ def _union(masks, sub):
 def lex_cover(g, cat, k):
     """The lex-smallest k distinct members covering E(g), or None."""
     return _lex_cover(cat.masks, cat.by_edge, (1 << g.m) - 1, k, g.n // 2)
+
+
+def tau_by_existence(g, cat):
+    """The least k >= 3 for which _min_cover_exists finds a k-covering."""
+    full = (1 << g.m) - 1
+    k = 3
+    while not _min_cover_exists(cat.masks, cat.by_edge, full, k, 0, 0, g.n // 2):
+        k += 1
+    return k
+
+
+class TestCoverSize:
+    """Each branch of _cover_size, with _min_cover_exists as the oracle."""
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        """The FR triples the covering searches walk, in order."""
+        steps = []
+        walk = coverings._fr_triples
+
+        def counted(masks):
+            for triple in walk(masks):
+                steps.append(triple[:3])
+                yield triple
+
+        monkeypatch.setattr(coverings, "_fr_triples", counted)
+        return steps
+
+    @pytest.mark.parametrize(
+        "make,rank,steps,tau,enumerated",
+        [
+            # the 4-covering lies within the budget of 2^11 >> 5 = 64 triples
+            (lambda: flower_snark(5), 11, 23, 4, False),
+            # the budget is spent and N_5 = 0 refutes k = 4
+            (tau5odd_example, 11, 64, 5, True),
+            (lambda: k4_of(petersen(), petersen(), k33(), k33()), 15, 1024, 5, True),
+            # the budget of 8 is spent, N_5 = 2 refutes nothing, and the walk
+            # resumes to the 4-covering at its 13th triple
+            (lambda: random_bridgeless_cubic(14, 226), 8, 13, 4, True),
+            # the all-ones vector is outside the span: no pass is needed
+            (petersen, 5, 1, 5, False),
+            # rank 21 is above the limit: the walk runs on with no budget
+            (lambda: goldberg_graph(5), 21, 91, 4, False),
+        ],
+        ids=["flower5", "tau5odd", "K4(P,P,K33,K33)", "random:14:226",
+             "petersen", "goldberg5"],
+    )
+    def test_branch(self, walked, make, rank, steps, tau, enumerated):
+        g, cat = catalog_of(make())
+        assert cat.pair_stats.min_intersection > 0
+        res = _cover_size(g, cat, 6)
+        assert len(cat.edge_row_basis) == rank
+        assert len(walked) == steps
+        assert ("weight_enumerator" in vars(cat)) == enumerated
+        assert res.status == "ok" and res.tau == tau == tau_by_existence(g, cat)
+        if tau == 4:  # the walk's witness, the lex-first 4-covering
+            assert res.witness.members[:3] == walked[-1]
+            assert res.witness.members == lex_cover(g, cat, 4)
+        else:
+            assert res.witness is None
+
+    def test_odd_5_coverings_give_tau_5_without_a_set_cover_search(
+        self, monkeypatch
+    ):
+        # no graph tried has tau = 5 and N_5 > 0, so flower 5 (N_5 = 230)
+        # stands in, with its 4-coverings hidden from the walk
+        def no_search(*args):
+            raise AssertionError("set-cover search ran")
+
+        g, cat = catalog_of(flower_snark(5))
+        monkeypatch.setattr(coverings, "_four_cover", lambda *args: None)
+        monkeypatch.setattr(coverings, "_min_cover_exists", no_search)
+        assert _cover_size(g, cat, 6) == coverings.TauResult("ok", 6, 5)
+        assert _cover_size(g, cat, 4) == coverings.TauResult("exceeds", 4)
+
+    def test_b_0_takes_the_lex_first_3_covering(self, walked):
+        g, cat = catalog_of(prism(5))
+        res = _cover_size(g, cat, 6)
+        assert res.tau == 3 and res.witness.members == lex_cover(g, cat, 3)
+        assert not walked and "edge_row_basis" not in vars(cat)
+
+    @pytest.mark.parametrize(
+        "make,tau,members",
+        [(tau5odd_example, 5, (0, 2, 4, 9, 19)),
+         (lambda: flower_snark(5), 4, (0, 7, 11, 31))],
+        ids=["tau5odd", "flower5"],
+    )
+    def test_covering_number_keeps_its_lex_first_witness(self, make, tau, members):
+        g, cat = catalog_of(make())
+        res = covering_number(g, cat, 6)
+        assert (res.tau, res.witness.members) == (tau, members)
+        assert res.witness.members == lex_cover(g, cat, tau)
 
 
 class TestFindKCovering:
@@ -448,6 +546,24 @@ class TestWeightEnumerator:
 
     @pytest.mark.parametrize(
         "make",
+        [tau5odd_example, lambda: random_bridgeless_cubic(14, 226)],
+        ids=["tau5odd", "random:14:226"],
+    )
+    def test_tau_and_tau_odd_share_one_pass(self, monkeypatch, make):
+        passes = []
+        signed_weights = matchings.gf2_signed_weights
+
+        def counted(*args):
+            passes.append(args)
+            return signed_weights(*args)
+
+        monkeypatch.setattr(matchings, "gf2_signed_weights", counted)
+        metrics, status = analyze_graph(make())
+        assert status == "ok" and metrics["tau_odd_count"] is not None
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize(
+        "make",
         [lambda: blanusa(1), lambda: flower_snark(5), tau5odd_example],
         ids=["blanusa1", "flower5", "tau5odd"],
     )
@@ -464,13 +580,15 @@ class TestWeightEnumerator:
 
     def test_k4_p_p_flower5_theta(self):
         # the paper instance the benchmark leaves out: the subset search runs
-        # for minutes on its 240 members, the weight enumerator for seconds
+        # for minutes on its 240 members; the weight enumerator refutes k = 4
+        # and gives tau_odd in one pass, and existence alone settles tau = 5
         metrics, status = analyze_graph(
             k4_of(petersen(), petersen(), flower_snark(5), theta())
         )
         assert status == "ok" and metrics["pm_count"] == 240
         assert (metrics["tau"], metrics["tau_odd"]) == (5, 7)
         assert metrics["tau_odd_count"] is None
+        assert metrics["berge5"] and metrics["fulkerson"]
 
     def test_k4_p_p_p_theta_at_odd_cap_9(self):
         g = k4_of(petersen(), petersen(), petersen(), theta())
@@ -688,6 +806,16 @@ class TestAnalyze:
     def test_cap_below_3_rejected(self):
         with pytest.raises(InvalidParams):
             analyze_graph(petersen(), cap=2)
+
+    def test_nan_deadline_rejected_before_any_signal(self, monkeypatch):
+        def untouched(*args):
+            raise AssertionError("a signal was touched")
+
+        monkeypatch.setattr(signal, "getitimer", untouched)
+        monkeypatch.setattr(signal, "signal", untouched)
+        monkeypatch.setattr(signal, "setitimer", untouched)
+        with pytest.raises(ValueError, match="deadline"):
+            analyze_graph(petersen(), deadline=math.nan)
 
 
 class TestCatalogFreeCoverings:

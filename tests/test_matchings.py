@@ -19,6 +19,7 @@ from pmcover.generators import (
 )
 from pmcover.graphs import EdgeSet, is_perfect_matching
 from pmcover.matchings import (
+    PMCatalog,
     enumerate_perfect_matchings,
     matching_line,
     pm_pair_stats,
@@ -102,11 +103,16 @@ def test_catalog_views_match_the_matchings_and_are_built_once():
         for mask in cat.masks:
             union |= mask
         assert cat.union == union
+        assert cat.edge_rows == tuple(
+            sum(1 << i for i in cat.by_edge[e]) for e in range(g.m)
+        )
         assert cat.masks is cat.masks
         assert cat.by_edge is cat.by_edge
         assert cat.union is cat.union
+        assert cat.edge_rows is cat.edge_rows
     bridged = enumerate_perfect_matchings(bridged_double_k4())
     assert any(not members for members in bridged.by_edge)
+    assert PMCatalog(petersen(), ()).edge_rows == (0,) * 15
 
 
 def test_pair_stats_petersen():
