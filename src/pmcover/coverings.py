@@ -23,14 +23,16 @@ covering searches use what that forces:
 * when b > 0 that matching is a fifth member, so no odd 5-covering (or no
   odd covering at all) refutes k = 4: ``_cover_size`` walks a step budget
   of FR triples and then asks the weight enumerator below, instead of
-  walking them all; it decides k >= 5 by existence alone, and from N_5 > 0
-  alone once k = 4 is out, leaving the lex-first witness to
+  walking them all; once k = 4 is out, N_5 > 0 or a Fulkerson covering
+  gives tau = 5 (five of its six members cover E), and only otherwise is
+  k >= 5 decided by existence, leaving the lex-first witness to
   ``covering_number``;
 * an odd s-covering is an s-set of columns of the edge x matching matrix
   over GF(2) whose XOR is all-ones, and when b > 0 the number of them,
   for every s at once, comes from the weight enumerator of the row space:
-  one pass over the 2^r row combinations, r the rank (n/2 + 1 on the
-  snarks tried).  The pass costs 2^r whatever the catalog, so above
+  one bit-sliced pass over the 2^r row combinations, r the rank (n/2 + 1
+  on the snarks tried), about 1 ms at r = 15 and 0.08 s at r = 20.  Its
+  cost doubles with each step of r whatever the catalog, so above
   ``WEIGHT_ENUMERATOR_MAX_RANK`` the subset search runs instead; it also
   runs when b = 0, where a disjoint pair settles tau_odd = 3 at once.  The
   subset search still finds the witness, at the minimum size alone.  The
@@ -316,15 +318,21 @@ def check_cap(cap: int) -> None:
         raise InvalidParams(f"cap must be at least 3, got {cap}")
 
 
-# Before the weight-enumerator pass (2^r steps, r the rank) tries to refute
-# k = 4, the FR walk takes at most 2^r >> FR_BUDGET_SHIFT triples (at least
-# one): a step budget, so the outcome never depends on timing.  On the tau = 4
-# families tried the walk reaches its 4-covering within it (flower 5 in 23 of
-# 64 triples); on the tau = 5 instances it runs 376 to 269,496 triples.
+# Before the weight-enumerator pass (cost proportional to 2^r, r the rank)
+# tries to refute k = 4, the FR walk takes at most 2^r >> FR_BUDGET_SHIFT
+# triples (at least one): a step budget, so the outcome never depends on
+# timing.  On the tau = 4 families tried the walk reaches its 4-covering
+# within it (flower 5 in 23 of 64 triples); on the tau = 5 instances it runs
+# 376 to 269,496 triples.
 FR_BUDGET_SHIFT = 5
 
 
-def _cover_size(g: CubicGraph, catalog: PMCatalog, cap: int) -> TauResult:
+def _cover_size(
+    g: CubicGraph,
+    catalog: PMCatalog,
+    cap: int,
+    fulkerson: Covering | None = None,
+) -> TauResult:
     """tau up to ``cap``, with a witness only when one comes for free.
 
     The witness comes with tau = 3 (b = 0) and tau = 4, never with tau >= 5.
@@ -335,8 +343,10 @@ def _cover_size(g: CubicGraph, catalog: PMCatalog, cap: int) -> TauResult:
     covered matching is an odd 5-covering by 5 distinct members when b > 0
     (the matching among the four would leave the other three an odd
     3-covering, which needs b = 0).  Unrefuted, the walk resumes where it
-    stopped.  Once k = 4 is out, N_5 > 0 gives tau = 5 (an odd 5-covering
-    is a 5-covering), and otherwise each k >= 5 is decided by existence.
+    stopped.  Once k = 4 is out, tau = 5 follows from N_5 > 0 (an odd
+    5-covering is a 5-covering) or from ``fulkerson``, a Fulkerson covering
+    of this catalog if the caller has one: any five of its six members
+    cover every edge.  Otherwise each k >= 5 is decided by existence.
     """
     check_catalog(g, catalog)
     check_cap(cap)
@@ -368,7 +378,7 @@ def _cover_size(g: CubicGraph, catalog: PMCatalog, cap: int) -> TauResult:
         return TauResult(
             "ok", cap, 4, Covering.from_indices(catalog, witness, CoveringKind.PLAIN)
         )
-    if odd5 and cap >= 5:
+    if (odd5 or fulkerson is not None) and cap >= 5:
         return TauResult("ok", cap, 5)
     for k in range(5, cap + 1):
         if _min_cover_exists(masks, by_edge, full, k, 0, 0, half):
@@ -469,10 +479,11 @@ def _odd_count_reported(size: int, catalog: PMCatalog) -> bool:
     return size <= ODD_COUNT_MAX_SIZE and catalog.count <= ODD_COUNT_MAX_CATALOG
 
 
-# The weight-enumerator pass walks 2^r row combinations, r the GF(2) rank of
-# the edge x matching matrix (n/2 + 1 on the snarks tried; r = 20 takes about
-# 0.3 s and each step up doubles it); above this rank the subset search finds
-# tau_odd, and the FR walk for a 4-covering runs without a budget.
+# The weight-enumerator pass works on 2^r-bit integers, r the GF(2) rank of
+# the edge x matching matrix (n/2 + 1 on the snarks tried; r = 20 on 240
+# members takes about 0.08 s and each step up doubles it); above this rank the
+# subset search finds tau_odd, and the FR walk for a 4-covering runs without a
+# budget.
 WEIGHT_ENUMERATOR_MAX_RANK = 20
 
 
@@ -741,10 +752,14 @@ def analyze_graph(
     or while the caller's own real interval timer is armed.  A timeout keeps
     the fields finished before it; the rest stay None, never guessed.
 
-    tau comes from ``_cover_size``, which looks for no lex-first witness:
-    when b > 0 and the rank is at most ``WEIGHT_ENUMERATOR_MAX_RANK``, the
-    weight enumerator refutes k = 4 after a budgeted FR walk, and tau >= 5
-    is decided by existence, or by N_5 > 0 alone.  When tau = 4 and no
+    The phases run in this order: bridges, cyclic connectivity, PM
+    enumeration, pair stats, Fulkerson, tau, tau_odd, FR triple; so a
+    timeout in the tau phase or later keeps ``fulkerson``.  tau comes from
+    ``_cover_size``, which looks for no lex-first witness: when b > 0 and
+    the rank is at most ``WEIGHT_ENUMERATOR_MAX_RANK``, the weight
+    enumerator refutes k = 4 after a budgeted FR walk.  Once k = 4 is out,
+    the Fulkerson covering found before (or N_5 > 0) gives tau = 5, and
+    only without both is tau >= 5 decided by existence.  When tau = 4 and no
     ``tau_odd_count`` of size 5 would be reported (``_odd_count_reported``),
     tau_odd is 5 without an odd search or a weight-enumerator pass: a
     4-covering plus its doubly covered matching is an odd 5-covering, and
@@ -773,8 +788,10 @@ def analyze_graph(
                 stats = catalog.pair_stats
                 metrics["b"] = stats.min_intersection
                 metrics["max_two_pm_union"] = stats.max_union
+            fulkerson = fulkerson_covering(g, catalog)
+            metrics["fulkerson"] = fulkerson is not None
             # one search decides tau up to cap and berge5 (tau <= 5)
-            tau = _cover_size(g, catalog, max(cap, 5))
+            tau = _cover_size(g, catalog, max(cap, 5), fulkerson)
             if tau.status == "infeasible":
                 status = "infeasible"
             elif tau.status == "ok" and tau.tau <= cap:
@@ -795,7 +812,6 @@ def analyze_graph(
                 metrics["tau_odd_count"] = 0
             metrics["berge5"] = tau.tau is not None and tau.tau <= 5
             metrics["fr_triple"] = bool(find_fr_triples(catalog, limit=1))
-            metrics["fulkerson"] = fulkerson_covering(g, catalog) is not None
     except DeadlineExceeded:
         status = "timeout"
     return metrics, status

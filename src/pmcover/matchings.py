@@ -72,8 +72,10 @@ class PMCatalog:
     def weight_enumerator(self) -> tuple[tuple[int, int], ...]:
         """``gf2_signed_weights`` of the row space of the edge x member matrix.
 
-        One pass over the 2^rank combinations of ``edge_row_basis``, so
-        callers bound the rank before they read it.
+        One bit-sliced pass over the 2^rank combinations of
+        ``edge_row_basis`` on 2^rank-bit integers, whose time and memory
+        double with each step of the rank, so callers bound the rank before
+        they read it.
         """
         return gf2_signed_weights(self.edge_row_basis, self.count)
 

@@ -1,4 +1,5 @@
 import math
+import random
 import signal
 import threading
 import time
@@ -10,6 +11,7 @@ import pytest
 from pmcover.compositions import k4_composition, tau5odd_example, three_cut_join
 from pmcover.errors import (
     CatalogMismatch,
+    DeadlineExceeded,
     InvalidParams,
     NotACovering,
     NotFRTriple,
@@ -28,7 +30,7 @@ from pmcover.generators import (
     random_bridgeless_cubic,
     theta,
 )
-from pmcover.gf2 import gf2_in_span
+from pmcover.gf2 import gf2_in_span, gf2_signed_weights
 from pmcover.graphs import find_bridges, is_perfect_matching
 from pmcover.matchings import enumerate_perfect_matchings
 from pmcover.coverings import (
@@ -190,6 +192,38 @@ def tau_by_existence(g, cat):
     return k
 
 
+def k4_of(*blocks):
+    return k4_composition([(block, 0) for block in blocks])
+
+
+def signed_weights_by_subsets(rows, width):
+    """gf2_signed_weights by a direct sum over every subset u of the rows."""
+    signed = [0] * (width + 1)
+    for u in range(1 << len(rows)):
+        total = 0
+        for j, row in enumerate(rows):
+            if (u >> j) & 1:
+                total ^= row
+        signed[total.bit_count()] += -1 if u.bit_count() % 2 else 1
+    return tuple((w, d) for w, d in enumerate(signed) if d)
+
+
+# analyze_graph reports on two of the paper's tau = 5 instances
+TAU5_REPORT = {
+    "bridges": 0, "cyclically4ec": False, "tau": 5, "tau_cap": 6,
+    "tau_odd": 7, "fulkerson": True, "berge5": True, "fr_triple": True,
+    "b": 1,
+}
+TAU5ODD_REPORT = dict(
+    TAU5_REPORT, n=20, m=30, pm_count=20, max_two_pm_union=19,
+    tau_odd_count=64,
+)
+PPKK_REPORT = dict(
+    TAU5_REPORT, n=28, m=42, pm_count=80, max_two_pm_union=27,
+    tau_odd_count=None,
+)
+
+
 class TestCoverSize:
     """Each branch of _cover_size, with _min_cover_exists as the oracle."""
 
@@ -253,6 +287,39 @@ class TestCoverSize:
         monkeypatch.setattr(coverings, "_min_cover_exists", no_search)
         assert _cover_size(g, cat, 6) == coverings.TauResult("ok", 6, 5)
         assert _cover_size(g, cat, 4) == coverings.TauResult("exceeds", 4)
+
+    @pytest.mark.parametrize(
+        "make,report",
+        [(tau5odd_example, TAU5ODD_REPORT),
+         (lambda: k4_of(petersen(), petersen(), k33(), k33()), PPKK_REPORT)],
+        ids=["tau5odd", "K4(P,P,K33,K33)"],
+    )
+    def test_analyze_takes_tau_5_from_the_fulkerson_covering(
+        self, monkeypatch, make, report
+    ):
+        def no_search(*args):
+            raise AssertionError("set-cover search ran")
+
+        monkeypatch.setattr(coverings, "_min_cover_exists", no_search)
+        assert analyze_graph(make()) == (report, "ok")
+
+    def test_analyze_without_a_fulkerson_covering_searches_for_tau_5(
+        self, monkeypatch
+    ):
+        searches = []
+        search = coverings._min_cover_exists
+
+        def counted(*args):
+            searches.append(args[3])
+            return search(*args)
+
+        monkeypatch.setattr(coverings, "fulkerson_covering", lambda *args: None)
+        monkeypatch.setattr(coverings, "_min_cover_exists", counted)
+        metrics, status = analyze_graph(tau5odd_example())
+        assert status == "ok" and searches[0] == 5
+        assert (metrics["tau"], metrics["berge5"], metrics["fulkerson"]) == (
+            5, True, False
+        )
 
     def test_b_0_takes_the_lex_first_3_covering(self, walked):
         g, cat = catalog_of(prism(5))
@@ -467,26 +534,6 @@ def _subset_xor_exists(masks, target):
     return any((target ^ p) in reach for p in probe)
 
 
-def k4_of(*blocks):
-    return k4_composition([(block, 0) for block in blocks])
-
-
-# analyze_graph reports on two of the paper's tau = 5 instances
-TAU5_REPORT = {
-    "bridges": 0, "cyclically4ec": False, "tau": 5, "tau_cap": 6,
-    "tau_odd": 7, "fulkerson": True, "berge5": True, "fr_triple": True,
-    "b": 1,
-}
-TAU5ODD_REPORT = dict(
-    TAU5_REPORT, n=20, m=30, pm_count=20, max_two_pm_union=19,
-    tau_odd_count=64,
-)
-PPKK_REPORT = dict(
-    TAU5_REPORT, n=28, m=42, pm_count=80, max_two_pm_union=27,
-    tau_odd_count=None,
-)
-
-
 class TestWeightEnumerator:
     """Odd-covering counts from the weight enumerator of the matching code."""
 
@@ -523,13 +570,36 @@ class TestWeightEnumerator:
              {3: 0, 5: 0, 7: 573440}),
             (lambda: k4_of(petersen(), petersen(), petersen(), theta()),
              {3: 0, 5: 0, 7: 0, 9: 32768}),
+            # rank 20, the limit
+            (lambda: k4_of(petersen(), petersen(), flower_snark(5), theta()),
+             {3: 0, 5: 0, 7: 4227072, 9: 6075301888}),
         ],
         ids=["tau5odd", "flower5", "blanusa1", "K4(P,P,K33,K33)",
-             "K4(P,P,prism4,K33)", "K4(P,P,P,theta)"],
+             "K4(P,P,prism4,K33)", "K4(P,P,P,theta)", "K4(P,P,flower5,theta)"],
     )
     def test_known_counts(self, make, counts):
         g, cat = catalog_of(make())
         assert _odd_counts(cat, tuple(counts)) == counts
+
+    @pytest.mark.parametrize("rank", range(13))
+    def test_signed_weights_match_a_sum_over_every_subset(self, rank):
+        rng = random.Random(rank)
+        for width in sorted({0, 1, 2, 7, 64, 70, rng.randrange(71)}):
+            # columns drawn from a small pool that holds 0, so that some
+            # repeat and some are zero
+            pool = [0] + [rng.getrandbits(rank) for _ in range(max(1, width // 3))]
+            columns = [rng.choice(pool) for _ in range(width)]
+            rows = [
+                sum(((c >> j) & 1) << i for i, c in enumerate(columns))
+                for j in range(rank)
+            ]
+            assert gf2_signed_weights(rows, width) == signed_weights_by_subsets(
+                rows, width
+            ), width
+
+    def test_signed_weights_of_the_empty_basis(self):
+        for width in (0, 1, 70):
+            assert gf2_signed_weights((), width) == ((0, 1),)
 
     @pytest.mark.parametrize(
         "make,report",
@@ -581,7 +651,8 @@ class TestWeightEnumerator:
     def test_k4_p_p_flower5_theta(self):
         # the paper instance the benchmark leaves out: the subset search runs
         # for minutes on its 240 members; the weight enumerator refutes k = 4
-        # and gives tau_odd in one pass, and existence alone settles tau = 5
+        # and gives tau_odd in one pass, and the Fulkerson covering settles
+        # tau = 5
         metrics, status = analyze_graph(
             k4_of(petersen(), petersen(), flower_snark(5), theta())
         )
@@ -720,6 +791,15 @@ class TestAnalyze:
         assert status == "timeout"
         assert metrics["n"] == 20
         assert metrics["fulkerson"] is None
+
+    def test_timeout_in_the_tau_phase_keeps_fulkerson(self, monkeypatch):
+        def expire(*args):
+            raise DeadlineExceeded
+
+        monkeypatch.setattr(coverings, "_cover_size", expire)
+        metrics, status = analyze_graph(tau5odd_example())
+        assert status == "timeout"
+        assert metrics["fulkerson"] is True and metrics["tau"] is None
 
     def test_deadline_bounds_pm_enumeration(self):
         # 147477 perfect matchings: enumerating them alone takes about 45 s
