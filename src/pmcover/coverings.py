@@ -21,10 +21,10 @@ covering searches use what that forces:
   ``analyze_graph`` takes tau_odd from that rule whenever no count is
   reported, so no odd search or count runs there;
 * when b > 0 that matching is a fifth member, so no odd 5-covering (or no
-  odd covering at all) refutes k = 4: ``_cover_size`` walks a step budget
-  of FR triples and then asks the weight enumerator below, instead of
-  walking them all; once k = 4 is out, N_5 > 0 or a Fulkerson covering
-  gives tau = 5 (five of its six members cover E), and only otherwise is
+  odd covering at all) refutes k = 4: ``_cover_size`` walks as many FR
+  triples as the catalog has members, then asks for that refutation
+  before it walks on; once k = 4 is out, a Fulkerson covering gives
+  tau = 5 (five of its six members cover E), and only without one is
   k >= 5 decided by existence, leaving the lex-first witness to
   ``covering_number``;
 * an odd s-covering is an s-set of columns of the edge x matching matrix
@@ -60,7 +60,7 @@ from .errors import (
     NotOdd,
     NotSize4,
 )
-from .gf2 import gf2_all_ones_subset_counts, gf2_in_span
+from .gf2 import gf2_all_ones_subset_counts
 from .graphs import (
     CubicGraph,
     EdgeSet,
@@ -318,15 +318,6 @@ def check_cap(cap: int) -> None:
         raise InvalidParams(f"cap must be at least 3, got {cap}")
 
 
-# Before the weight-enumerator pass (cost proportional to 2^r, r the rank)
-# tries to refute k = 4, the FR walk takes at most 2^r >> FR_BUDGET_SHIFT
-# triples (at least one): a step budget, so the outcome never depends on
-# timing.  On the tau = 4 families tried the walk reaches its 4-covering
-# within it (flower 5 in 23 of 64 triples); on the tau = 5 instances it runs
-# 376 to 269,496 triples.
-FR_BUDGET_SHIFT = 5
-
-
 def _cover_size(
     g: CubicGraph,
     catalog: PMCatalog,
@@ -336,15 +327,16 @@ def _cover_size(
     """tau up to ``cap``, with a witness only when one comes for free.
 
     The witness comes with tau = 3 (b = 0) and tau = 4, never with tau >= 5.
-    When b > 0 and the rank is at most ``WEIGHT_ENUMERATOR_MAX_RANK``, the
-    FR walk for a 4-covering stops after its budget (``FR_BUDGET_SHIFT``)
-    and k = 4 is refuted if the all-ones vector is outside the span or N_5,
-    the number of odd 5-coverings, is 0: a 4-covering plus its doubly
-    covered matching is an odd 5-covering by 5 distinct members when b > 0
-    (the matching among the four would leave the other three an odd
-    3-covering, which needs b = 0).  Unrefuted, the walk resumes where it
-    stopped.  Once k = 4 is out, tau = 5 follows from N_5 > 0 (an odd
-    5-covering is a 5-covering) or from ``fulkerson``, a Fulkerson covering
+    When b > 0 the FR walk for a 4-covering stops after ``catalog.count``
+    triples, a step budget: the weight-enumerator pass builds a truth table
+    per distinct nonzero column, so these steps cost far less than the pass.
+    k = 4 is then refuted if the all-ones vector is outside the span, or if
+    the rank is at most ``WEIGHT_ENUMERATOR_MAX_RANK`` and N_5, the number
+    of odd 5-coverings, is 0: a 4-covering plus its doubly covered matching
+    is an odd 5-covering by 5 distinct members when b > 0 (the matching
+    among the four would leave the other three an odd 3-covering, which
+    needs b = 0).  Unrefuted, the walk resumes where it stopped.  Once
+    k = 4 is out, tau = 5 follows from ``fulkerson``, a Fulkerson covering
     of this catalog if the caller has one: any five of its six members
     cover every edge.  Otherwise each k >= 5 is decided by existence.
     """
@@ -364,21 +356,19 @@ def _cover_size(
     if cap < 4:
         return TauResult("exceeds", cap)
     walk = _fr_triples(masks)
-    witness = None
-    odd5 = None  # N_5, once counted; 0 refutes k = 4
-    rank = len(catalog.edge_row_basis)
-    if rank <= WEIGHT_ENUMERATOR_MAX_RANK:
-        budget = max(1, (1 << rank) >> FR_BUDGET_SHIFT)
-        witness = _four_cover(masks, by_edge, full, islice(walk, budget))
-        if witness is None:
-            odd5 = _odd_counts(catalog, (5,))[5] if gf2_in_span(masks, full) else 0
-    if witness is None and odd5 != 0:
+    witness = _four_cover(masks, by_edge, full, islice(walk, catalog.count))
+    # _odd_counts is None above the rank limit, where only the span refutes
+    if (
+        witness is None
+        and catalog.all_ones_in_span
+        and _odd_counts(catalog, (5,)) != {5: 0}
+    ):
         witness = _four_cover(masks, by_edge, full, walk)
     if witness is not None:
         return TauResult(
             "ok", cap, 4, Covering.from_indices(catalog, witness, CoveringKind.PLAIN)
         )
-    if (odd5 or fulkerson is not None) and cap >= 5:
+    if fulkerson is not None and cap >= 5:
         return TauResult("ok", cap, 5)
     for k in range(5, cap + 1):
         if _min_cover_exists(masks, by_edge, full, k, 0, 0, half):
@@ -395,12 +385,11 @@ def covering_number(
     graphs), and exceeds when the minimum is larger than ``cap``.  A
     3-covering partitions E, so it is ruled out without search unless two
     members are disjoint.  A 4-covering is found by walking FR triples
-    (``_four_cover``).  When b > 0 and the rank is at most
-    ``WEIGHT_ENUMERATOR_MAX_RANK``, the walk is cut short where the weight
-    enumerator refutes k = 4 (``_cover_size``), and tau >= 5 is decided by
-    existence alone; branch-and-bound set cover then finds the witness at
-    that size.  The witness is the lexicographically smallest covering in
-    every case.
+    (``_four_cover``).  When b > 0 the walk is cut short after
+    ``catalog.count`` triples where the span or the weight enumerator
+    refutes k = 4 (``_cover_size``), and tau >= 5 is decided by existence
+    alone; branch-and-bound set cover then finds the witness at that size.
+    The witness is the lexicographically smallest covering in every case.
     """
     result = _cover_size(g, catalog, cap)
     if result.status != "ok" or result.witness is not None:
@@ -482,8 +471,8 @@ def _odd_count_reported(size: int, catalog: PMCatalog) -> bool:
 # The weight-enumerator pass works on 2^r-bit integers, r the GF(2) rank of
 # the edge x matching matrix (n/2 + 1 on the snarks tried; r = 20 on 240
 # members takes about 0.08 s and each step up doubles it); above this rank the
-# subset search finds tau_odd, and the FR walk for a 4-covering runs without a
-# budget.
+# subset search finds tau_odd, and the FR walk for a 4-covering runs on past
+# its budget unless the all-ones vector is outside the span.
 WEIGHT_ENUMERATOR_MAX_RANK = 20
 
 
@@ -515,7 +504,7 @@ def _odd_cover_size(
     check_catalog(g, catalog)
     masks = catalog.masks
     full = (1 << g.m) - 1
-    if not gf2_in_span(masks, full):
+    if not catalog.all_ones_in_span:
         return OddCoverResult("none_exists", cap)
     sizes = range(3, min(cap, catalog.count) + 1, 2)
     colourable = _has_disjoint_pair(catalog)
@@ -756,14 +745,15 @@ def analyze_graph(
     enumeration, pair stats, Fulkerson, tau, tau_odd, FR triple; so a
     timeout in the tau phase or later keeps ``fulkerson``.  tau comes from
     ``_cover_size``, which looks for no lex-first witness: when b > 0 and
-    the rank is at most ``WEIGHT_ENUMERATOR_MAX_RANK``, the weight
-    enumerator refutes k = 4 after a budgeted FR walk.  Once k = 4 is out,
-    the Fulkerson covering found before (or N_5 > 0) gives tau = 5, and
-    only without both is tau >= 5 decided by existence.  When tau = 4 and no
-    ``tau_odd_count`` of size 5 would be reported (``_odd_count_reported``),
-    tau_odd is 5 without an odd search or a weight-enumerator pass: a
-    4-covering plus its doubly covered matching is an odd 5-covering, and
-    tau_odd is odd and at least tau.  Otherwise tau_odd and its count come
+    its FR walk of ``catalog.count`` triples finds no 4-covering, the span
+    or the weight enumerator may refute k = 4 before the walk goes on.
+    Once k = 4 is out, the Fulkerson covering found before gives tau = 5,
+    and only without one is tau >= 5 decided by existence.  When tau = 4 and
+    no ``tau_odd_count`` of size 5 would be reported
+    (``_odd_count_reported``), tau_odd is 5 without an odd search, a
+    weight-enumerator pass or a derived covering: a 4-covering plus its
+    doubly covered matching is an odd 5-covering, and tau_odd is odd and at
+    least tau.  Otherwise tau_odd and its count come
     from ``_odd_cover_size``, which reads the weight-enumerator pass the tau
     phase ran, if it ran, and searches for no witness when the enumerator
     settles them.  A NaN ``deadline`` and a graph too big to enumerate
@@ -801,8 +791,7 @@ def analyze_graph(
                 and odd_cap >= 5
                 and not _odd_count_reported(5, catalog)
             ):
-                odd5 = odd_covering_from_four_covering(tau.witness)
-                odd = OddCoverResult("ok", odd_cap, odd5.size, odd5)
+                odd = OddCoverResult("ok", odd_cap, 5)
             else:
                 odd = _odd_cover_size(g, catalog, odd_cap)
             if odd.status == "ok":

@@ -12,7 +12,7 @@ from .errors import (
     FewerThanTwoMatchings,
     TooManyMatchings,
 )
-from .gf2 import gf2_independent_rows, gf2_signed_weights
+from .gf2 import gf2_in_span, gf2_independent_rows, gf2_signed_weights
 from .graphs import CubicGraph, EdgeSet, _bfs_forest
 
 
@@ -23,8 +23,8 @@ class PMCatalog:
     Matchings are sorted by ascending bit pattern, so catalog indices are
     deterministic across runs.  The derived views every solver reads
     (``masks``, ``by_edge``, ``edge_rows``, ``union``, ``index_by_mask``,
-    ``pair_stats`` and the GF(2) views of the edge rows) are each built at
-    most once, on first access.
+    ``pair_stats``, ``all_ones_in_span`` and the GF(2) views of the edge
+    rows) are each built at most once, on first access.
     """
 
     graph: CubicGraph
@@ -78,6 +78,12 @@ class PMCatalog:
         they read it.
         """
         return gf2_signed_weights(self.edge_row_basis, self.count)
+
+    @cached_property
+    def all_ones_in_span(self) -> bool:
+        """Whether the all-ones vector lies in the GF(2) span of the members:
+        whether some set of them covers every edge an odd number of times."""
+        return gf2_in_span(self.masks, (1 << self.graph.m) - 1)
 
     @cached_property
     def union(self) -> int:

@@ -244,21 +244,25 @@ class TestCoverSize:
     @pytest.mark.parametrize(
         "make,rank,steps,tau,enumerated",
         [
-            # the 4-covering lies within the budget of 2^11 >> 5 = 64 triples
+            # the 4-covering lies within the budget of 32 triples, one per
+            # member
             (lambda: flower_snark(5), 11, 23, 4, False),
-            # the budget is spent and N_5 = 0 refutes k = 4
-            (tau5odd_example, 11, 64, 5, True),
-            (lambda: k4_of(petersen(), petersen(), k33(), k33()), 15, 1024, 5, True),
-            # the budget of 8 is spent, N_5 = 2 refutes nothing, and the walk
+            (lambda: flower_snark(9), 19, 427, 4, False),
+            # the budget of 20 (80) triples is spent and N_5 = 0 refutes k = 4
+            (tau5odd_example, 11, 20, 5, True),
+            (lambda: k4_of(petersen(), petersen(), k33(), k33()), 15, 80, 5, True),
+            # the budget of 10 is spent, N_5 = 2 refutes nothing, and the walk
             # resumes to the 4-covering at its 13th triple
             (lambda: random_bridgeless_cubic(14, 226), 8, 13, 4, True),
-            # the all-ones vector is outside the span: no pass is needed
-            (petersen, 5, 1, 5, False),
-            # rank 21 is above the limit: the walk runs on with no budget
+            # the budget of 6 is spent and the all-ones vector is outside the
+            # span: no pass is needed
+            (petersen, 5, 6, 5, False),
+            # rank 21 is above the limit, but the 4-covering lies within the
+            # budget of 584
             (lambda: goldberg_graph(5), 21, 91, 4, False),
         ],
-        ids=["flower5", "tau5odd", "K4(P,P,K33,K33)", "random:14:226",
-             "petersen", "goldberg5"],
+        ids=["flower5", "flower9", "tau5odd", "K4(P,P,K33,K33)",
+             "random:14:226", "petersen", "goldberg5"],
     )
     def test_branch(self, walked, make, rank, steps, tau, enumerated):
         g, cat = catalog_of(make())
@@ -274,19 +278,41 @@ class TestCoverSize:
         else:
             assert res.witness is None
 
-    def test_odd_5_coverings_give_tau_5_without_a_set_cover_search(
-        self, monkeypatch
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: flower_snark(7), lambda: goldberg_graph(5),
+         lambda: generalized_blanusa(1, 3)],
+        ids=["flower7", "goldberg5", "gblanusa1-3"],
+    )
+    def test_analyze_of_a_tau_4_graph_builds_no_edge_rows(
+        self, monkeypatch, make
     ):
-        # no graph tried has tau = 5 and N_5 > 0, so flower 5 (N_5 = 230)
-        # stands in, with its 4-coverings hidden from the walk
-        def no_search(*args):
-            raise AssertionError("set-cover search ran")
+        # the walk finds the 4-covering within its budget, and tau_odd = 5
+        # follows from tau = 4 (no count of size 5 is reported here)
+        catalogs = []
+        enumerate_ = coverings.enumerate_perfect_matchings
 
-        g, cat = catalog_of(flower_snark(5))
-        monkeypatch.setattr(coverings, "_four_cover", lambda *args: None)
-        monkeypatch.setattr(coverings, "_min_cover_exists", no_search)
-        assert _cover_size(g, cat, 6) == coverings.TauResult("ok", 6, 5)
-        assert _cover_size(g, cat, 4) == coverings.TauResult("exceeds", 4)
+        def kept(*args):
+            catalogs.append(enumerate_(*args))
+            return catalogs[-1]
+
+        monkeypatch.setattr(coverings, "enumerate_perfect_matchings", kept)
+        metrics, status = analyze_graph(make())
+        assert status == "ok" and (metrics["tau"], metrics["tau_odd"]) == (4, 5)
+        built = {"edge_rows", "edge_row_basis", "weight_enumerator"}
+        assert not built & set(vars(catalogs[0]))
+
+    def test_analyze_reduces_the_all_ones_span_once(self, monkeypatch):
+        calls = []
+
+        def counted(rows, vec):
+            calls.append(vec)
+            return gf2_in_span(rows, vec)
+
+        for module in (coverings, matchings):
+            monkeypatch.setattr(module, "gf2_in_span", counted, raising=False)
+        assert analyze_graph(tau5odd_example()) == (TAU5ODD_REPORT, "ok")
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "make,report",
