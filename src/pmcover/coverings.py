@@ -15,7 +15,8 @@ covering searches use what that forces:
 * every 3 members of a 4-covering form a Fan-Raspaud triple, so 4-coverings
   are found by walking FR triples (``_fr_triples``, the one walk that
   ``find_fr_triples`` also reads), and branch-and-bound set cover is left
-  for k >= 5;
+  for k >= 5; both complete a partial covering from
+  ``PMCatalog.edge_rows``, whose row e holds the members containing edge e;
 * tau = 4 gives tau_odd = 5: adding the doubly covered matching to a
   4-covering makes it odd, and tau_odd is odd and at least tau;
   ``analyze_graph`` takes tau_odd from that rule whenever no count is
@@ -45,7 +46,6 @@ from __future__ import annotations
 import math
 import signal
 import time
-from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -191,7 +191,7 @@ class FRStructure:
 
 def _min_cover_exists(
     masks: tuple[int, ...],
-    by_edge: tuple[tuple[int, ...], ...],
+    rows: tuple[int, ...],
     uncovered: int,
     slots: int,
     lo: int,
@@ -200,43 +200,43 @@ def _min_cover_exists(
 ) -> bool:
     """Can <= slots distinct members with index >= lo cover `uncovered`?
 
-    Branch on the uncovered edge with the fewest usable members; members
-    skipped at a branch point are excluded from the whole subtree.
+    ``rows`` are the catalog's edge rows, so an edge's usable members are
+    its row masked by ``usable``.  Branch on the uncovered edge with the
+    fewest, trying them lowest index first; members skipped at a branch
+    point are excluded from the whole subtree.
     """
     if uncovered == 0:
         return True
     if slots == 0 or uncovered.bit_count() > slots * half:
         return False
-    best: list[int] | None = None
+    usable = (-1 << lo) & ~excluded
+    best, fewest = 0, 0
     bits = uncovered
     while bits:
         low = bits & -bits
         bits ^= low
-        cands = [
-            i
-            for i in by_edge[low.bit_length() - 1]
-            if i >= lo and not (excluded >> i) & 1
-        ]
+        cands = rows[low.bit_length() - 1] & usable
         if not cands:
             return False
-        if best is None or len(cands) < len(best):
-            best = cands
-            if len(best) == 1:
+        size = cands.bit_count()
+        if not best or size < fewest:
+            best, fewest = cands, size
+            if size == 1:
                 break
-    assert best is not None
     ex = excluded
-    for i in best:
-        if _min_cover_exists(
-            masks, by_edge, uncovered & ~masks[i], slots - 1, lo, ex, half
-        ):
+    while best:
+        low = best & -best
+        best ^= low
+        rest = uncovered & ~masks[low.bit_length() - 1]
+        if _min_cover_exists(masks, rows, rest, slots - 1, lo, ex, half):
             return True
-        ex |= 1 << i
+        ex |= low
     return False
 
 
 def _lex_cover(
     masks: tuple[int, ...],
-    by_edge: tuple[tuple[int, ...], ...],
+    rows: tuple[int, ...],
     full: int,
     k: int,
     half: int,
@@ -245,7 +245,7 @@ def _lex_cover(
     count = len(masks)
     if count < k:
         return None
-    if not _min_cover_exists(masks, by_edge, full, k, 0, 0, half):
+    if not _min_cover_exists(masks, rows, full, k, 0, 0, half):
         return None
     chosen: list[int] = []
     uncovered = full
@@ -254,7 +254,7 @@ def _lex_cover(
         remaining = k - slot - 1
         for cand in range(lo, count - remaining):
             rest = uncovered & ~masks[cand]
-            if _min_cover_exists(masks, by_edge, rest, remaining, cand + 1, 0, half):
+            if _min_cover_exists(masks, rows, rest, remaining, cand + 1, 0, half):
                 chosen.append(cand)
                 uncovered = rest
                 lo = cand + 1
@@ -278,27 +278,28 @@ def _fr_triples(masks: tuple[int, ...]):
 
 
 def _four_cover(
-    masks: tuple[int, ...],
-    by_edge: tuple[tuple[int, ...], ...],
-    full: int,
-    triples,
+    rows: tuple[int, ...], full: int, triples
 ) -> tuple[int, ...] | None:
     """The first 4-covering along a walk of FR triples, given no 3-covering.
 
     Every 3 members of a 4-covering form an FR triple, so walking the FR
     triples i<j<k in lex order (``_fr_triples``) and completing each with
     the smallest l > k that contains T0, the edges the triple leaves
-    uncovered, finds the lex-smallest 4-covering first.  ``triples`` is that
-    walk or a stretch of it: the walk can stop and later resume.
+    uncovered, finds the lex-smallest 4-covering first.  The members l > k
+    holding T0 are the AND of T0's edge rows above bit k.  ``triples`` is
+    that walk or a stretch of it: the walk can stop and later resume.
     """
     for i, j, k, union in triples:
         t0 = full & ~union
         # an FR triple covering E would be a 3-covering
         assert t0, "3-covering reached the 4-covering search"
-        holders = by_edge[(t0 & -t0).bit_length() - 1]
-        for pos in range(bisect_right(holders, k), len(holders)):
-            if masks[holders[pos]] & t0 == t0:
-                return i, j, k, holders[pos]
+        holders = -1 << (k + 1)
+        while t0 and holders:
+            low = t0 & -t0
+            t0 ^= low
+            holders &= rows[low.bit_length() - 1]
+        if holders:
+            return i, j, k, (holders & -holders).bit_length() - 1
     return None
 
 
@@ -326,7 +327,8 @@ def _cover_size(
 ) -> TauResult:
     """tau up to ``cap``, with a witness only when one comes for free.
 
-    The witness comes with tau = 3 (b = 0) and tau = 4, never with tau >= 5.
+    Infeasible when some edge row is 0, an edge in no member.  The witness
+    comes with tau = 3 (b = 0) and tau = 4, never with tau >= 5.
     When b > 0 the FR walk for a 4-covering stops after ``catalog.count``
     triples, a step budget: the weight-enumerator pass builds a truth table
     per distinct nonzero column, so these steps cost far less than the pass.
@@ -338,32 +340,33 @@ def _cover_size(
     needs b = 0).  Unrefuted, the walk resumes where it stopped.  Once
     k = 4 is out, tau = 5 follows from ``fulkerson``, a Fulkerson covering
     of this catalog if the caller has one: any five of its six members
-    cover every edge.  Otherwise each k >= 5 is decided by existence.
+    cover every edge.  Otherwise each k >= 5 is decided by existence, the
+    set cover over the edge rows (``_min_cover_exists``).
     """
     check_catalog(g, catalog)
     check_cap(cap)
-    masks, by_edge = catalog.masks, catalog.by_edge
+    masks, rows = catalog.masks, catalog.edge_rows
     full = (1 << g.m) - 1
-    if catalog.union != full:
+    if not all(rows):  # an edge in no member
         return TauResult("infeasible", cap)
     half = g.n // 2
     if _has_disjoint_pair(catalog):
         # the disjoint pair and the matching on the edges it leaves
-        witness = _lex_cover(masks, by_edge, full, 3, half)
+        witness = _lex_cover(masks, rows, full, 3, half)
         return TauResult(
             "ok", cap, 3, Covering.from_indices(catalog, witness, CoveringKind.PLAIN)
         )
     if cap < 4:
         return TauResult("exceeds", cap)
     walk = _fr_triples(masks)
-    witness = _four_cover(masks, by_edge, full, islice(walk, catalog.count))
+    witness = _four_cover(rows, full, islice(walk, catalog.count))
     # _odd_counts is None above the rank limit, where only the span refutes
     if (
         witness is None
         and catalog.all_ones_in_span
         and _odd_counts(catalog, (5,)) != {5: 0}
     ):
-        witness = _four_cover(masks, by_edge, full, walk)
+        witness = _four_cover(rows, full, walk)
     if witness is not None:
         return TauResult(
             "ok", cap, 4, Covering.from_indices(catalog, witness, CoveringKind.PLAIN)
@@ -371,7 +374,7 @@ def _cover_size(
     if fulkerson is not None and cap >= 5:
         return TauResult("ok", cap, 5)
     for k in range(5, cap + 1):
-        if _min_cover_exists(masks, by_edge, full, k, 0, 0, half):
+        if _min_cover_exists(masks, rows, full, k, 0, 0, half):
             return TauResult("ok", cap, k)
     return TauResult("exceeds", cap)
 
@@ -395,7 +398,7 @@ def covering_number(
     if result.status != "ok" or result.witness is not None:
         return result
     witness = _lex_cover(
-        catalog.masks, catalog.by_edge, (1 << g.m) - 1, result.tau, g.n // 2
+        catalog.masks, catalog.edge_rows, (1 << g.m) - 1, result.tau, g.n // 2
     )
     cov = Covering.from_indices(catalog, witness, CoveringKind.PLAIN)
     return replace(result, witness=cov)
@@ -504,10 +507,12 @@ def _odd_cover_size(
     check_catalog(g, catalog)
     masks = catalog.masks
     full = (1 << g.m) - 1
-    if not catalog.all_ones_in_span:
+    # a disjoint pair and the matching on the edges they leave XOR to
+    # all-ones, so only b > 0 needs the span reduction
+    colourable = _has_disjoint_pair(catalog)
+    if not colourable and not catalog.all_ones_in_span:
         return OddCoverResult("none_exists", cap)
     sizes = range(3, min(cap, catalog.count) + 1, 2)
-    colourable = _has_disjoint_pair(catalog)
     if sizes and not colourable:
         counts = _odd_counts(catalog, sizes)
         if counts is not None:

@@ -21,10 +21,11 @@ class PMCatalog:
     """The complete, canonically ordered list of perfect matchings of a graph.
 
     Matchings are sorted by ascending bit pattern, so catalog indices are
-    deterministic across runs.  The derived views every solver reads
-    (``masks``, ``by_edge``, ``edge_rows``, ``union``, ``index_by_mask``,
-    ``pair_stats``, ``all_ones_in_span`` and the GF(2) views of the edge
-    rows) are each built at most once, on first access.
+    deterministic across runs.  The edge x member incidence is held two
+    ways: ``masks`` (one edge bitmask per member) and ``edge_rows`` (one
+    member bitmask per edge).  These and the views derived from them
+    (``index_by_mask``, ``pair_stats``, ``all_ones_in_span`` and the GF(2)
+    views of the edge rows) are each built at most once, on first access.
     """
 
     graph: CubicGraph
@@ -37,18 +38,6 @@ class PMCatalog:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         return tuple(m.bits for m in self.matchings)
-
-    @cached_property
-    def by_edge(self) -> tuple[tuple[int, ...], ...]:
-        """For each edge, the ascending indices of the members containing it."""
-        lists: list[list[int]] = [[] for _ in range(self.graph.m)]
-        for i, mask in enumerate(self.masks):
-            bits = mask
-            while bits:
-                low = bits & -bits
-                lists[low.bit_length() - 1].append(i)
-                bits ^= low
-        return tuple(map(tuple, lists))
 
     @cached_property
     def edge_rows(self) -> tuple[int, ...]:
@@ -84,14 +73,6 @@ class PMCatalog:
         """Whether the all-ones vector lies in the GF(2) span of the members:
         whether some set of them covers every edge an odd number of times."""
         return gf2_in_span(self.masks, (1 << self.graph.m) - 1)
-
-    @cached_property
-    def union(self) -> int:
-        """Bitmask of the edges lying in at least one member."""
-        bits = 0
-        for mask in self.masks:
-            bits |= mask
-        return bits
 
     @cached_property
     def index_by_mask(self) -> dict[int, int]:

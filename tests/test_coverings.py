@@ -163,6 +163,32 @@ class TestCoveringNumber:
             )
             assert res.count_minimum == (len(odd) if odd else None)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: blanusa(1), lambda: blanusa(2), lambda: flower_snark(3),
+         lambda: flower_snark(5), tau5odd_example, petersen]
+        + [partial(random_bridgeless_cubic, n, seed)
+           for n, seed in ((14, 226), (14, 231), (14, 246), (16, 98))],
+        ids=["blanusa1", "blanusa2", "flower3", "flower5", "tau5odd", "petersen",
+             "random:14:226", "random:14:231", "random:14:246", "random:16:98"],
+    )
+    def test_lex_first_witness_matches_exhaustive_search(self, make):
+        # b > 0 on all of them, so the witness comes from the FR walk (tau 4)
+        # or the set cover (tau 5), never from a disjoint pair
+        g, cat = catalog_of(make())
+        full = (1 << g.m) - 1
+        res = covering_number(g, cat)
+        assert res.status == "ok" and res.tau >= 4
+        assert not any(
+            _union(cat.masks, sub) == full
+            for sub in combinations(range(cat.count), res.tau - 1)
+        )
+        first = next(
+            sub for sub in combinations(range(cat.count), res.tau)
+            if _union(cat.masks, sub) == full
+        )
+        assert res.witness.members == first
+
 
 def _xor(masks, sub):
     acc = 0
@@ -180,14 +206,15 @@ def _union(masks, sub):
 
 def lex_cover(g, cat, k):
     """The lex-smallest k distinct members covering E(g), or None."""
-    return _lex_cover(cat.masks, cat.by_edge, (1 << g.m) - 1, k, g.n // 2)
+    return _lex_cover(cat.masks, cat.edge_rows, (1 << g.m) - 1, k, g.n // 2)
 
 
 def tau_by_existence(g, cat):
     """The least k >= 3 for which _min_cover_exists finds a k-covering."""
     full = (1 << g.m) - 1
     k = 3
-    while not _min_cover_exists(cat.masks, cat.by_edge, full, k, 0, 0, g.n // 2):
+    rows = cat.edge_rows
+    while not _min_cover_exists(cat.masks, rows, full, k, 0, 0, g.n // 2):
         k += 1
     return k
 
@@ -284,7 +311,7 @@ class TestCoverSize:
          lambda: generalized_blanusa(1, 3)],
         ids=["flower7", "goldberg5", "gblanusa1-3"],
     )
-    def test_analyze_of_a_tau_4_graph_builds_no_edge_rows(
+    def test_analyze_of_a_tau_4_graph_runs_no_rank_reduction(
         self, monkeypatch, make
     ):
         # the walk finds the 4-covering within its budget, and tau_odd = 5
@@ -299,10 +326,20 @@ class TestCoverSize:
         monkeypatch.setattr(coverings, "enumerate_perfect_matchings", kept)
         metrics, status = analyze_graph(make())
         assert status == "ok" and (metrics["tau"], metrics["tau_odd"]) == (4, 5)
-        built = {"edge_rows", "edge_row_basis", "weight_enumerator"}
+        built = {"edge_row_basis", "weight_enumerator"}
         assert not built & set(vars(catalogs[0]))
 
-    def test_analyze_reduces_the_all_ones_span_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "make,report,reductions",
+        [(tau5odd_example, TAU5ODD_REPORT, 1),
+         (lambda: prism(5),
+          {"b": 0, "tau": 3, "tau_odd": 3, "tau_odd_count": 5}, 0)],
+        ids=["tau5odd", "prism5"],
+    )
+    def test_analyze_reduces_the_all_ones_span_once(
+        self, monkeypatch, make, report, reductions
+    ):
+        # a disjoint pair (b = 0) puts all-ones in the span without a reduction
         calls = []
 
         def counted(rows, vec):
@@ -311,8 +348,9 @@ class TestCoverSize:
 
         for module in (coverings, matchings):
             monkeypatch.setattr(module, "gf2_in_span", counted, raising=False)
-        assert analyze_graph(tau5odd_example()) == (TAU5ODD_REPORT, "ok")
-        assert len(calls) == 1
+        metrics, status = analyze_graph(make())
+        assert status == "ok" and len(calls) == reductions
+        assert {key: metrics[key] for key in report} == report
 
     @pytest.mark.parametrize(
         "make,report",
@@ -384,6 +422,32 @@ class TestFindKCovering:
         g, cat = catalog_of(k33())
         chosen = lex_cover(g, cat, 4)
         assert len(chosen) == 4 and _union(cat.masks, chosen) == (1 << g.m) - 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [petersen, lambda: flower_snark(3), lambda: blanusa(1),
+         lambda: flower_snark(5), partial(random_bridgeless_cubic, 14, 226)],
+        ids=["petersen", "flower3", "blanusa1", "flower5", "random:14:226"],
+    )
+    def test_min_cover_exists_matches_exhaustive_search(self, make):
+        # random partial covers, index floors and excluded members
+        g, cat = catalog_of(make())
+        rng = random.Random(g.m)
+        for _ in range(60):
+            picked = rng.sample(range(cat.count), rng.randint(0, 2))
+            uncovered = ((1 << g.m) - 1) & ~_union(cat.masks, picked)
+            slots = rng.randint(1, 4)
+            lo = rng.randrange(cat.count // 2)
+            excluded = rng.getrandbits(cat.count) & rng.getrandbits(cat.count)
+            usable = [i for i in range(lo, cat.count) if not (excluded >> i) & 1]
+            expect = any(
+                not uncovered & ~_union(cat.masks, sub)
+                for s in range(slots + 1)
+                for sub in combinations(usable, s)
+            )
+            assert _min_cover_exists(
+                cat.masks, cat.edge_rows, uncovered, slots, lo, excluded, g.n // 2
+            ) == expect
 
     def test_k_below_3_rejected(self):
         g, cat = catalog_of(k4())
