@@ -28,6 +28,11 @@ covering searches use what that forces:
   tau = 5 (five of its six members cover E), and only without one is
   k >= 5 decided by existence, leaving the lex-first witness to
   ``covering_number``;
+* a Fulkerson covering is decided the way set cover is, by branching on
+  the most constrained edge over the edge rows (``_fulkerson_exists``),
+  with members usable twice; ``analyze_graph`` asks only whether one
+  exists, and ``fulkerson_covering`` refines that search to the lex-first
+  witness;
 * an odd s-covering is an s-set of columns of the edge x matching matrix
   over GF(2) whose XOR is all-ones, and when b > 0 the number of them,
   for every s at once, comes from the weight enumerator of the row space:
@@ -323,7 +328,7 @@ def _cover_size(
     g: CubicGraph,
     catalog: PMCatalog,
     cap: int,
-    fulkerson: Covering | None = None,
+    fulkerson: bool = False,
 ) -> TauResult:
     """tau up to ``cap``, with a witness only when one comes for free.
 
@@ -338,8 +343,8 @@ def _cover_size(
     is an odd 5-covering by 5 distinct members when b > 0 (the matching
     among the four would leave the other three an odd 3-covering, which
     needs b = 0).  Unrefuted, the walk resumes where it stopped.  Once
-    k = 4 is out, tau = 5 follows from ``fulkerson``, a Fulkerson covering
-    of this catalog if the caller has one: any five of its six members
+    k = 4 is out, tau = 5 follows when ``fulkerson`` says that the caller
+    found a Fulkerson covering of this catalog: any five of its six members
     cover every edge.  Otherwise each k >= 5 is decided by existence, the
     set cover over the edge rows (``_min_cover_exists``).
     """
@@ -371,7 +376,7 @@ def _cover_size(
         return TauResult(
             "ok", cap, 4, Covering.from_indices(catalog, witness, CoveringKind.PLAIN)
         )
-    if fulkerson is not None and cap >= 5:
+    if fulkerson and cap >= 5:
         return TauResult("ok", cap, 5)
     for k in range(5, cap + 1):
         if _min_cover_exists(masks, rows, full, k, 0, 0, half):
@@ -641,49 +646,120 @@ def even_covering_from_four_covering(cov4: Covering) -> Covering:
     return doubled
 
 
+def _add_member(
+    masks: tuple[int, ...],
+    rows: tuple[int, ...],
+    once: int,
+    saturated: int,
+    blocked: int,
+    member: int,
+) -> tuple[int, int, int]:
+    """``once``, ``saturated`` and ``blocked`` after one more copy of member.
+
+    The member must be unblocked: it holds no saturated edge.  Its edges
+    covered once before are saturated now, so their rows join ``blocked``.
+    """
+    mask = masks[member]
+    twice = once & mask
+    saturated |= twice
+    while twice:
+        low = twice & -twice
+        twice ^= low
+        blocked |= rows[low.bit_length() - 1]
+    return once ^ mask, saturated, blocked
+
+
+def _fulkerson_exists(
+    masks: tuple[int, ...],
+    rows: tuple[int, ...],
+    full: int,
+    slots: int,
+    excluded: int,
+    once: int,
+    saturated: int,
+    blocked: int,
+    found: list[int],
+) -> bool:
+    """Can ``slots`` more members bring every edge of ``full`` to exactly 2?
+
+    ``once`` and ``saturated`` are the edges the members chosen so far cover
+    once and twice, and ``blocked`` is the members holding a saturated edge;
+    a member outside ``blocked`` and ``excluded`` is usable, and one picked
+    twice blocks itself.  Six members that cover no edge three times fill
+    6n/2 = 2m edge slots, so six picks cover every edge exactly twice.
+    Fail once an open edge has no usable member, which an edge row of 0
+    (bridged or matching-free graphs) does at the root.  Otherwise branch
+    on the uncovered edge (else the once-covered edge) with the fewest
+    usable members, lowest index first: a tried member stays usable in its
+    own subtree, for reuse, and is excluded from its later siblings.  On
+    success the members picked are appended to ``found``.
+    """
+    if slots == 0:
+        return True
+    usable = ~(blocked | excluded)
+    best, fewest = 0, 0
+    for bits in (full & ~(once | saturated), once):
+        prefer = not best  # once-covered edges only when none is uncovered
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            cands = rows[low.bit_length() - 1] & usable
+            if not cands:
+                return False
+            if prefer:
+                size = cands.bit_count()
+                if not best or size < fewest:
+                    best, fewest = cands, size
+    ex = excluded
+    while best:
+        low = best & -best
+        best ^= low
+        member = low.bit_length() - 1
+        state = _add_member(masks, rows, once, saturated, blocked, member)
+        if _fulkerson_exists(masks, rows, full, slots - 1, ex, *state, found):
+            found.append(member)
+            return True
+        ex |= low
+    return False
+
+
 def fulkerson_covering(g: CubicGraph, catalog: PMCatalog) -> Covering | None:
     """Six members (each used at most twice) covering every edge exactly twice.
 
-    Exhaustive search; ``None`` is returned only when no Fulkerson covering
-    exists in the catalog, i.e. a counterexample to the double-cover
-    conjecture for this graph.
+    The lexicographically smallest such multiset, by refinement over the
+    existence search ``_fulkerson_exists``: each slot in turn takes the
+    least member, from the previous one on (reuse is allowed), whose
+    completion exists.  A completion found along the way bounds that test:
+    its least member completes the slot, so only smaller members are tried.
+    ``None`` is returned only when no Fulkerson covering exists in the
+    catalog, i.e. a counterexample to the double-cover conjecture for this
+    graph.
     """
     check_catalog(g, catalog)
-    masks = catalog.masks
-    count = len(masks)
+    masks, rows = catalog.masks, catalog.edge_rows
     full = (1 << g.m) - 1
-    # reach[i] = the edges lying in some member with index >= i
-    reach = [0] * (count + 1)
-    for i in range(count - 1, -1, -1):
-        reach[i] = reach[i + 1] | masks[i]
-
+    found: list[int] = []  # members completing `chosen`
+    if not _fulkerson_exists(masks, rows, full, 6, 0, 0, 0, 0, found):
+        return None
     chosen: list[int] = []
-
-    def dfs(lo: int, slots: int, once: int, saturated: int) -> bool:
-        """`once`/`saturated`: the edges the chosen members cover once/twice.
-
-        Six members that cover no edge three times fill 6n/2 = 2m edge
-        slots, so a full pick covers every edge exactly twice.  A member
-        picked twice is saturated, so the mask test also caps reuse at two.
-        """
-        if slots == 0:
-            return True
-        # an edge not yet covered twice that no remaining member contains
-        if full & ~saturated & ~reach[lo]:
-            return False
-        for cand in range(lo, count):
-            mask = masks[cand]
-            if mask & saturated:
+    once = saturated = blocked = 0
+    for slot in range(6):
+        member = min(found)
+        for cand in range(chosen[-1] if chosen else 0, member):
+            if blocked >> cand & 1:
                 continue
-            chosen.append(cand)
-            if dfs(cand, slots - 1, once ^ mask, saturated | (once & mask)):
-                return True
-            chosen.pop()
-        return False
-
-    if dfs(0, 6, 0, 0):
-        return Covering.from_indices(catalog, chosen, CoveringKind.FULKERSON)
-    return None
+            state = _add_member(masks, rows, once, saturated, blocked, cand)
+            trial = [cand]
+            below = (1 << cand) - 1
+            if _fulkerson_exists(masks, rows, full, 5 - slot, below, *state, trial):
+                found, member = trial, cand
+                break
+        found.remove(member)
+        chosen.append(member)
+        once, saturated, blocked = _add_member(
+            masks, rows, once, saturated, blocked, member
+        )
+    return Covering.from_indices(catalog, chosen, CoveringKind.FULKERSON)
 
 
 REPORT_FIELDS = (
@@ -748,14 +824,15 @@ def analyze_graph(
 
     The phases run in this order: bridges, cyclic connectivity, PM
     enumeration, pair stats, Fulkerson, tau, tau_odd, FR triple; so a
-    timeout in the tau phase or later keeps ``fulkerson``.  tau comes from
-    ``_cover_size``, which looks for no lex-first witness: when b > 0 and
-    its FR walk of ``catalog.count`` triples finds no 4-covering, the span
-    or the weight enumerator may refute k = 4 before the walk goes on.
-    Once k = 4 is out, the Fulkerson covering found before gives tau = 5,
-    and only without one is tau >= 5 decided by existence.  When tau = 4 and
-    no ``tau_odd_count`` of size 5 would be reported
-    (``_odd_count_reported``), tau_odd is 5 without an odd search, a
+    timeout in the tau phase or later keeps ``fulkerson``.  The Fulkerson
+    phase asks ``_fulkerson_exists`` only whether a covering exists and
+    builds no witness.  tau comes from ``_cover_size``, which looks for no
+    lex-first witness: when b > 0 and its FR walk of ``catalog.count``
+    triples finds no 4-covering, the span or the weight enumerator may
+    refute k = 4 before the walk goes on.  Once k = 4 is out, a Fulkerson
+    covering gives tau = 5, and only without one is tau >= 5 decided by
+    existence.  When tau = 4 and no ``tau_odd_count`` of size 5 would be
+    reported (``_odd_count_reported``), tau_odd is 5 without an odd search, a
     weight-enumerator pass or a derived covering: a 4-covering plus its
     doubly covered matching is an odd 5-covering, and tau_odd is odd and at
     least tau.  Otherwise tau_odd and its count come
@@ -783,8 +860,10 @@ def analyze_graph(
                 stats = catalog.pair_stats
                 metrics["b"] = stats.min_intersection
                 metrics["max_two_pm_union"] = stats.max_union
-            fulkerson = fulkerson_covering(g, catalog)
-            metrics["fulkerson"] = fulkerson is not None
+            fulkerson = _fulkerson_exists(
+                catalog.masks, catalog.edge_rows, (1 << g.m) - 1, 6, 0, 0, 0, 0, []
+            )
+            metrics["fulkerson"] = fulkerson
             # one search decides tau up to cap and berge5 (tau <= 5)
             tau = _cover_size(g, catalog, max(cap, 5), fulkerson)
             if tau.status == "infeasible":

@@ -57,6 +57,7 @@ from pmcover.coverings import (
 )
 
 from test_graphs import bridged_double_k4
+from test_matchings import matching_free_cubic
 
 
 def catalog_of(g):
@@ -249,6 +250,17 @@ PPKK_REPORT = dict(
     TAU5_REPORT, n=28, m=42, pm_count=80, max_two_pm_union=27,
     tau_odd_count=None,
 )
+PRISM5_REPORT = {
+    "n": 10, "m": 15, "pm_count": 11, "tau": 3, "tau_cap": 6, "tau_odd": 3,
+    "tau_odd_count": 5, "fulkerson": True, "berge5": True, "fr_triple": True,
+    "b": 0, "max_two_pm_union": 10, "bridges": 0, "cyclically4ec": True,
+}
+BRIDGED_REPORT = {
+    "n": 10, "m": 15, "pm_count": 4, "tau": None, "tau_cap": 6,
+    "tau_odd": None, "tau_odd_count": 0, "fulkerson": False, "berge5": False,
+    "fr_triple": False, "b": 1, "max_two_pm_union": 9, "bridges": 1,
+    "cyclically4ec": False,
+}
 
 
 class TestCoverSize:
@@ -377,13 +389,30 @@ class TestCoverSize:
             searches.append(args[3])
             return search(*args)
 
-        monkeypatch.setattr(coverings, "fulkerson_covering", lambda *args: None)
+        monkeypatch.setattr(coverings, "_fulkerson_exists", lambda *args: False)
         monkeypatch.setattr(coverings, "_min_cover_exists", counted)
         metrics, status = analyze_graph(tau5odd_example())
         assert status == "ok" and searches[0] == 5
         assert (metrics["tau"], metrics["berge5"], metrics["fulkerson"]) == (
             5, True, False
         )
+
+    @pytest.mark.parametrize(
+        "make,report,status",
+        [(tau5odd_example, TAU5ODD_REPORT, "ok"),
+         (lambda: k4_of(petersen(), petersen(), k33(), k33()), PPKK_REPORT, "ok"),
+         (lambda: prism(5), PRISM5_REPORT, "ok"),
+         (bridged_double_k4, BRIDGED_REPORT, "infeasible")],
+        ids=["tau5odd", "K4(P,P,K33,K33)", "prism5", "bridged"],
+    )
+    def test_analyze_builds_no_fulkerson_witness(
+        self, monkeypatch, make, report, status
+    ):
+        def no_witness(*args):
+            raise AssertionError("lex-first Fulkerson covering built")
+
+        monkeypatch.setattr(coverings, "fulkerson_covering", no_witness)
+        assert analyze_graph(make()) == (report, status)
 
     def test_b_0_takes_the_lex_first_3_covering(self, walked):
         g, cat = catalog_of(prism(5))
@@ -828,10 +857,83 @@ class TestFulkerson:
         assert cov is not None and set(cov.multiplicities()) == {2}
 
     def test_matching_free_graph_has_none(self):
-        from test_matchings import matching_free_cubic
-
         g, cat = catalog_of(matching_free_cubic())
         assert fulkerson_covering(g, cat) is None
+
+    @pytest.mark.parametrize(
+        "make",
+        [k4, petersen, k33, lambda: prism(4), lambda: prism(5),
+         lambda: flower_snark(3), theta, bridged_double_k4, matching_free_cubic]
+        + [partial(random_bridgeless_cubic, n, seed)
+           for n, seed in [(10, seed) for seed in range(6)] + [(10, 11), (12, 6)]],
+        ids=["k4", "petersen", "k33", "prism4", "prism5", "flower3", "theta",
+             "bridged", "matching_free"]
+        + [f"random:10:{s}" for s in range(6)] + ["random:10:11", "random:12:6"],
+    )
+    def test_exists_matches_exhaustive_search(self, make):
+        """From the empty pick and from 40 random partial picks, with members
+        below a random lo excluded: the search says yes iff some multiset of
+        the remaining slots brings every edge to exactly 2, and on yes the
+        members it appends to ``found`` are such a multiset.  random:10:11
+        and random:12:6 catch a sibling exclusion off by one member."""
+        from itertools import combinations_with_replacement
+
+        g, cat = catalog_of(make())
+        assert cat.count <= 11
+        masks, rows = cat.masks, cat.edge_rows
+        full = (1 << g.m) - 1
+
+        def counts(picks):
+            return [sum(e in cat.matchings[i] for i in picks) for e in range(g.m)]
+
+        def twice_everywhere(picks):
+            return all(c == 2 for c in counts(picks))
+
+        rng = random.Random(22)
+        queries = [((), 0)]
+        while len(queries) < 41 and cat.count:
+            prefix = tuple(rng.choices(range(cat.count), k=rng.randrange(1, 4)))
+            if max(counts(prefix)) <= 2:
+                queries.append((prefix, rng.randrange(cat.count)))
+        for prefix, lo in queries:
+            once = saturated = blocked = 0
+            for i in prefix:
+                once, saturated, blocked = coverings._add_member(
+                    masks, rows, once, saturated, blocked, i
+                )
+            slots = 6 - len(prefix)
+            expected = any(
+                twice_everywhere(prefix + rest)
+                for rest in combinations_with_replacement(
+                    range(lo, cat.count), slots
+                )
+            )
+            found = []
+            got = coverings._fulkerson_exists(
+                masks, rows, full, slots, (1 << lo) - 1, once, saturated,
+                blocked, found,
+            )
+            assert got == expected, (prefix, lo)
+            if got:
+                assert len(found) == slots and min(found) >= lo
+                assert twice_everywhere(prefix + tuple(found))
+
+    @pytest.mark.parametrize(
+        "make,members",
+        [(lambda: k4_of(petersen(), petersen(), k33(), k33()),
+          (8, 11, 40, 43, 60, 63)),
+         (lambda: k4_of(petersen(), petersen(), prism(4), k33()),
+          (4, 7, 76, 79, 88, 91)),
+         (lambda: k4_of(petersen(), petersen(), flower_snark(5), theta()),
+          (0, 33, 114, 120, 217, 223)),
+         (lambda: generalized_blanusa(1, 4), (0, 72, 250, 335, 425, 575))],
+        ids=["K4(P,P,K33,K33)", "K4(P,P,prism4,K33)", "K4(P,P,flower5,theta)",
+             "gblanusa1-4"],
+    )
+    def test_lex_first_witness_on_larger_catalogs(self, make, members):
+        # the witnesses the index-order search found, pinned
+        g, cat = catalog_of(make())
+        assert fulkerson_covering(g, cat).members == members
 
 
 class TestConjectureFields:
