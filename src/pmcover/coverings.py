@@ -109,7 +109,7 @@ class Covering:
         cls, catalog: PMCatalog, indices, kind: CoveringKind
     ) -> "Covering":
         members = tuple(sorted(indices))
-        matchings = tuple(catalog.matchings[i] for i in members)
+        matchings = tuple(catalog.matchings[catalog.check_member(i)] for i in members)
         cov = cls(catalog.graph, matchings, kind, catalog, members)
         cov.validate()
         return cov
@@ -441,9 +441,9 @@ def fr_structure(
 ) -> FRStructure:
     """T0/T1/T2 partition of an FR-triple, with its alternating even cycles."""
     check_catalog(g, catalog)
-    m1, m2, m3 = (catalog.masks[i] for i in triple)
-    if m1 & m2 & m3:
-        raise NotFRTriple("matchings have a common edge")
+    m1, m2, m3 = (catalog.masks[catalog.check_member(i)] for i in triple)
+    if len(set(triple)) < 3 or m1 & m2 & m3:
+        raise NotFRTriple(f"{triple} are not 3 distinct members with no common edge")
     full = (1 << g.m) - 1
     double = (m1 & m2) | (m1 & m3) | (m2 & m3)
     covered = m1 | m2 | m3

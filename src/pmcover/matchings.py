@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
+    CatalogError,
     CatalogMismatch,
     EnumerationTooDeep,
     FewerThanTwoMatchings,
@@ -38,6 +39,12 @@ class PMCatalog:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         return tuple(m.bits for m in self.matchings)
+
+    def check_member(self, i: int) -> int:
+        """i itself; CatalogError unless 0 <= i < count (no wrap-around)."""
+        if not 0 <= i < self.count:
+            raise CatalogError(f"member index {i} is outside a catalog of {self.count}")
+        return i
 
     @cached_property
     def edge_rows(self) -> tuple[int, ...]:

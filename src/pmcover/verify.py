@@ -232,17 +232,11 @@ def _check_tau4_structure(s: _Suite, g: CubicGraph, cat, witness: Covering, tag:
         is_perfect_matching(g, report.doubly_covered),
     )
     members = witness.members
-    pairwise = all(
-        cat.matchings[a] & cat.matchings[b]
-        for a, b in combinations(members, 2)
-    )
+    pairwise = all(cat.masks[a] & cat.masks[b] for a, b in combinations(members, 2))
     s.check(f"{tag}.pairwise-intersections-nonempty", pairwise)
     triples_ok = True
     for sub in combinations(sorted(members), 3):
-        inter = (
-            cat.matchings[sub[0]] & cat.matchings[sub[1]] & cat.matchings[sub[2]]
-        )
-        if inter:
+        if cat.masks[sub[0]] & cat.masks[sub[1]] & cat.masks[sub[2]]:
             triples_ok = False
             break
         structure = fr_structure(g, cat, sub)  # asserts alternation internally

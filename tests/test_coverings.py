@@ -10,6 +10,7 @@ import pytest
 
 from pmcover.compositions import k4_composition, tau5odd_example, three_cut_join
 from pmcover.errors import (
+    CatalogError,
     CatalogMismatch,
     DeadlineExceeded,
     InvalidParams,
@@ -143,7 +144,11 @@ class TestCoveringNumber:
         "graph",
         [petersen(), blanusa(1), flower_snark(5), tau5odd_example(),  # b > 0
          k4(), k33(), prism(4), flower_snark(3)]
-        + [random_bridgeless_cubic(n, seed) for n in (10, 14) for seed in range(3)],
+        + [random_bridgeless_cubic(n, seed) for n in (10, 14) for seed in range(3)]
+        # b = 0 on all of these: the lex-first 3-covering starts with the
+        # first disjoint pair of pair_stats
+        + [theta(), prism(3), prism(5), prism(6)]
+        + [random_bridgeless_cubic(n, seed) for n in (12, 16, 18, 20) for seed in range(5)],
     )
     def test_size_3_matches_exhaustive_search(self, graph):
         g, cat = catalog_of(graph)
@@ -254,6 +259,11 @@ PRISM5_REPORT = {
     "n": 10, "m": 15, "pm_count": 11, "tau": 3, "tau_cap": 6, "tau_odd": 3,
     "tau_odd_count": 5, "fulkerson": True, "berge5": True, "fr_triple": True,
     "b": 0, "max_two_pm_union": 10, "bridges": 0, "cyclically4ec": True,
+}
+FLOWER5_REPORT = {
+    "n": 20, "m": 30, "pm_count": 32, "tau": 4, "tau_cap": 6, "tau_odd": 5,
+    "tau_odd_count": 230, "fulkerson": True, "berge5": True, "fr_triple": True,
+    "b": 1, "max_two_pm_union": 19, "bridges": 0, "cyclically4ec": True,
 }
 BRIDGED_REPORT = {
     "n": 10, "m": 15, "pm_count": 4, "tau": None, "tau_cap": 6,
@@ -402,8 +412,9 @@ class TestCoverSize:
         [(tau5odd_example, TAU5ODD_REPORT, "ok"),
          (lambda: k4_of(petersen(), petersen(), k33(), k33()), PPKK_REPORT, "ok"),
          (lambda: prism(5), PRISM5_REPORT, "ok"),
+         (lambda: flower_snark(5), FLOWER5_REPORT, "ok"),
          (bridged_double_k4, BRIDGED_REPORT, "infeasible")],
-        ids=["tau5odd", "K4(P,P,K33,K33)", "prism5", "bridged"],
+        ids=["tau5odd", "K4(P,P,K33,K33)", "prism5", "flower5", "bridged"],
     )
     def test_analyze_builds_no_fulkerson_witness(
         self, monkeypatch, make, report, status
@@ -575,6 +586,20 @@ class TestFRTriples:
         gb, catb = catalog_of(bridged_double_k4())
         with pytest.raises(NotFRTriple):
             fr_structure(gb, catb, (0, 1, 2))
+
+    def test_rejects_a_repeated_member(self):
+        # K4's matchings are pairwise disjoint, so (0, 0, 1) has no common
+        # edge, but it is no triple i < j < k of find_fr_triples
+        g, cat = catalog_of(k4())
+        with pytest.raises(NotFRTriple, match="distinct"):
+            fr_structure(g, cat, (0, 0, 1))
+
+    @pytest.mark.parametrize("triple,bad", [((-1, 0, 1), -1), ((0, 1, 3), 3)])
+    def test_rejects_an_index_outside_the_catalog(self, triple, bad):
+        # a negative index would wrap around to the last member
+        g, cat = catalog_of(k4())
+        with pytest.raises(CatalogError, match=f"index {bad} .* of 3"):
+            fr_structure(g, cat, triple)
 
 
 class TestOddCoverings:
@@ -1288,6 +1313,13 @@ class TestKindValidation:
         g, cat = catalog_of(k4())
         cov = Covering.from_indices(cat, (0, 0, 0, 1, 2), CoveringKind.ODD)
         assert cov.size == 5 and cov.members == (0, 0, 0, 1, 2)
+
+    @pytest.mark.parametrize("indices,bad", [((-1, 0, 1), -1), ((0, 1, 3), 3)])
+    def test_index_outside_the_catalog_rejected(self, indices, bad):
+        # a negative index would wrap around to the last member
+        g, cat = catalog_of(k4())
+        with pytest.raises(CatalogError, match=f"index {bad} .* of 3"):
+            Covering.from_indices(cat, indices, CoveringKind.PLAIN)
 
     def test_non_matching_member_rejected(self):
         g = petersen()
