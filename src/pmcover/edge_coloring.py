@@ -22,24 +22,25 @@ def three_edge_coloring(
     color symmetry.
     """
     m = g.m
+    ends = g.edges
     color = [-1] * m
     used = [0] * g.n  # bitmask of colors present at each vertex
 
     def place(e: int, c: int) -> None:
         color[e] = c
-        u, v = g.endpoints(e)
+        u, v = ends[e]
         used[u] |= 1 << c
         used[v] |= 1 << c
 
     def unplace(e: int) -> None:
         c = color[e]
         color[e] = -1
-        u, v = g.endpoints(e)
+        u, v = ends[e]
         used[u] &= ~(1 << c)
         used[v] &= ~(1 << c)
 
     def candidates(e: int) -> int:
-        u, v = g.endpoints(e)
+        u, v = ends[e]
         return _ALL & ~(used[u] | used[v])
 
     def pick() -> int | None:
@@ -73,7 +74,7 @@ def three_edge_coloring(
 
     place(0, 0)
     pinned = 1
-    u, v = g.endpoints(0)
+    u, v = ends[0]
     for e in g.incidence[u]:
         if e != 0:
             place(e, 1)

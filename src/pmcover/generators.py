@@ -267,8 +267,7 @@ def random_bridgeless_cubic(n: int, seed: int = 0) -> CubicGraph:
     for _ in range(100000):
         rng.shuffle(stubs)
         pairs = [
-            (min(stubs[i], stubs[i + 1]), max(stubs[i], stubs[i + 1]))
-            for i in range(0, 3 * n, 2)
+            (u, v) if u < v else (v, u) for u, v in zip(stubs[::2], stubs[1::2])
         ]
         if any(u == v for u, v in pairs) or len(set(pairs)) != len(pairs):
             continue

@@ -25,6 +25,7 @@ from pmcover.generators import (
     theta,
     two_factor_from_cycles,
 )
+from pmcover.graph6 import to_graph6
 from pmcover.graphs import find_bridges, is_isomorphic, is_perfect_matching
 from pmcover.matchings import enumerate_perfect_matchings
 from pmcover.coverings import covering_number
@@ -200,6 +201,18 @@ class TestRandomCubic:
     def test_deterministic_per_seed(self):
         assert random_bridgeless_cubic(14, 7) == random_bridgeless_cubic(14, 7)
 
+    @pytest.mark.parametrize(
+        "n,seed,g6",
+        [
+            (10, 0, "IEY`S@P@o"),
+            (14, 7, "M@H_a@C_c_oGAHAo?"),
+            (26, 0, "YG?C?O_?_G?A?A`_?AP?CC??@g?WGAB?@??__?C?O?Oa?@?C??@?@?G_"),
+            (16, 20260812, "O?B@o?@CQ?R?@WICK@C@O"),
+        ],
+    )
+    def test_same_graph_across_releases(self, n, seed, g6):
+        assert to_graph6(random_bridgeless_cubic(n, seed)) == g6
+
     def test_n4_is_k4(self):
         assert is_isomorphic(random_bridgeless_cubic(4, 123), k4())
 
@@ -222,6 +235,18 @@ class TestEdgeColoring:
             assert classes is not None
             for cls in classes:
                 assert is_perfect_matching(g, cls)
+
+    @pytest.mark.parametrize(
+        "g,classes",
+        [
+            (k33(), (0xA1, 0x10A, 0x54)),
+            (prism(5), (0x2621, 0x190A, 0x40D4)),
+            (random_bridgeless_cubic(20, 0), (0x94A0B21, 0x6A1908A, 0x30146454)),
+        ],
+        ids=["k33", "prism5", "random20-0"],
+    )
+    def test_same_color_classes_across_releases(self, g, classes):
+        assert tuple(c.bits for c in three_edge_coloring(g)) == classes
 
     def test_snarks_refuse(self):
         assert three_edge_coloring(petersen()) is None

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from pmcover import verify
 from pmcover.compositions import tau5odd_example
 from pmcover.errors import FewerThanTwoMatchings, TooManyMatchings
 from pmcover.generators import (
@@ -42,18 +43,22 @@ def test_known_counts(graph, expected):
     assert enumerate_perfect_matchings(graph).count == expected
 
 
+def brute_force_masks(g):
+    """The edge bitmask of every n/2-edge subset that is a perfect matching."""
+    return sorted(
+        g.edge_set(combo).bits
+        for combo in combinations(range(g.m), g.n // 2)
+        if is_perfect_matching(g, g.edge_set(combo))
+    )
+
+
 def test_counts_match_brute_force_up_to_n12():
     rng = random.Random(11)
     graphs = [k4(), k33(), theta(), prism(3), prism(4), prism(5), prism(6),
               petersen(), flower_snark(3)]
     graphs += [random_cubic_any(n, rng) for n in (8, 10, 12) for _ in range(4)]
     for g in graphs:
-        brute = sorted(
-            g.edge_set(combo).bits
-            for combo in combinations(range(g.m), g.n // 2)
-            if is_perfect_matching(g, g.edge_set(combo))
-        )
-        assert list(enumerate_perfect_matchings(g).masks) == brute
+        assert list(enumerate_perfect_matchings(g).masks) == brute_force_masks(g)
 
 
 def test_catalog_sorted_and_members_valid():
@@ -199,3 +204,31 @@ def test_max_matchings_abort():
 def test_negative_max_matchings_rejected_even_without_matchings():
     with pytest.raises(ValueError, match="max_matchings must be nonnegative, got -1"):
         enumerate_perfect_matchings(matching_free_cubic(), max_matchings=-1)
+
+
+# criterion 8's graphs, then a bridged graph and one with no perfect matching
+ORACLE_GRAPHS = {
+    "theta": theta(), "k4": k4(), "k33": k33(), "prism3": prism(3),
+    "prism4": prism(4), "prism5": prism(5), "prism6": prism(6),
+    "petersen": petersen(), "flower3": flower_snark(3),
+    "random10": random_bridgeless_cubic(10, verify.SEED + 10),
+    "random12": random_bridgeless_cubic(12, verify.SEED + 12),
+    "bridged": bridged_double_k4(), "matching-free": matching_free_cubic(),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_verify_oracle_counts_every_perfect_matching(name):
+    g = ORACLE_GRAPHS[name]
+    assert verify._brute_force_matchings(g) == len(brute_force_masks(g))
+
+
+def test_verify_oracle_catches_a_catalog_missing_a_member(monkeypatch):
+    def short_catalog(g, *args, **kwargs):
+        cat = enumerate_perfect_matchings(g, *args, **kwargs)
+        return PMCatalog(g, cat.matchings[:-1])
+
+    name = "oracles.pm-enumeration-matches-brute-force-n<=12"
+    assert {r.name: r.ok for r in verify.criterion_8_oracles()}[name]
+    monkeypatch.setattr(verify, "enumerate_perfect_matchings", short_catalog)
+    assert not {r.name: r.ok for r in verify.criterion_8_oracles()}[name]
