@@ -37,8 +37,8 @@ covering searches use what that forces:
   over GF(2) whose XOR is all-ones, and when b > 0 the number of them,
   for every s at once, comes from the weight enumerator of the row space:
   one bit-sliced pass over the 2^r row combinations, r the rank (n/2 + 1
-  on the snarks tried), about 1 ms at r = 15 and 0.08 s at r = 20.  Its
-  cost doubles with each step of r whatever the catalog, so above
+  on the snarks tried), under 1 ms at r = 15 and about 0.015 s at r = 20.
+  Its cost doubles with each step of r whatever the catalog, so above
   ``WEIGHT_ENUMERATOR_MAX_RANK`` the subset search runs instead; it also
   runs when b = 0, where a disjoint pair settles tau_odd = 3 at once.  The
   subset search still finds the witness, at the minimum size alone.  The
@@ -269,17 +269,28 @@ def _lex_cover(
     return tuple(chosen)
 
 
-def _fr_triples(masks: tuple[int, ...]):
-    """FR triples i < j < k (no edge in all three) in lex order, with their union."""
+def _fr_triples(masks: tuple[int, ...], rows: tuple[int, ...]):
+    """FR triples i < j < k (no edge in all three) in lex order, with their union.
+
+    ``rows`` are the catalog's edge rows: the k that complete (i, j) are the
+    members above j in none of the rows of the edges of mi & mj, one mask
+    operation per such edge.
+    """
     count = len(masks)
     for i in range(count):
         mi = masks[i]
         for j in range(i + 1, count):
             mij, cover_ij = mi & masks[j], mi | masks[j]
-            for k in range(j + 1, count):
-                mk = masks[k]
-                if not mij & mk:
-                    yield i, j, k, cover_ij | mk
+            ks = (1 << count) - (1 << (j + 1))  # the members above j
+            while mij and ks:
+                low = mij & -mij
+                mij ^= low
+                ks &= ~rows[low.bit_length() - 1]
+            while ks:
+                low = ks & -ks
+                ks ^= low
+                k = low.bit_length() - 1
+                yield i, j, k, cover_ij | masks[k]
 
 
 def _four_cover(
@@ -335,8 +346,9 @@ def _cover_size(
     Infeasible when some edge row is 0, an edge in no member.  The witness
     comes with tau = 3 (b = 0) and tau = 4, never with tau >= 5.
     When b > 0 the FR walk for a 4-covering stops after ``catalog.count``
-    triples, a step budget: the weight-enumerator pass builds a truth table
-    per distinct nonzero column, so these steps cost far less than the pass.
+    triples, a step budget: a step takes a few operations on member masks,
+    the weight-enumerator pass dozens on 2^r-bit integers, so these steps
+    cost far less than the pass.
     k = 4 is then refuted if the all-ones vector is outside the span, or if
     the rank is at most ``WEIGHT_ENUMERATOR_MAX_RANK`` and N_5, the number
     of odd 5-coverings, is 0: a 4-covering plus its doubly covered matching
@@ -363,7 +375,7 @@ def _cover_size(
         )
     if cap < 4:
         return TauResult("exceeds", cap)
-    walk = _fr_triples(masks)
+    walk = _fr_triples(masks, rows)
     witness = _four_cover(rows, full, islice(walk, catalog.count))
     # _odd_counts is None above the rank limit, where only the span refutes
     if (
@@ -433,7 +445,8 @@ def find_fr_triples(
 ) -> list[tuple[int, int, int]]:
     """Index triples with empty three-way intersection, in lex order: the
     first ``limit`` of them, or all when ``limit`` is None."""
-    return [t[:3] for t in islice(_fr_triples(catalog.masks), limit)]
+    triples = _fr_triples(catalog.masks, catalog.edge_rows)
+    return [t[:3] for t in islice(triples, limit)]
 
 
 def fr_structure(
@@ -478,9 +491,11 @@ def _odd_count_reported(size: int, catalog: PMCatalog) -> bool:
 
 # The weight-enumerator pass works on 2^r-bit integers, r the GF(2) rank of
 # the edge x matching matrix (n/2 + 1 on the snarks tried; r = 20 on 240
-# members takes about 0.08 s and each step up doubles it); above this rank the
-# subset search finds tau_odd, and the FR walk for a 4-covering runs on past
-# its budget unless the all-ones vector is outside the span.
+# members takes about 0.015 s, r = 22 on 480 about 0.05 s and r = 23 on 720
+# about 0.2 s, and each step up doubles it); above this rank the subset
+# search finds tau_odd, and the FR walk for a 4-covering runs on past its
+# budget unless the all-ones vector is outside the span.  Lifting the limit
+# changes which solver runs on graphs such as goldberg:5 (rank 21).
 WEIGHT_ENUMERATOR_MAX_RANK = 20
 
 
