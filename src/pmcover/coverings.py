@@ -108,8 +108,10 @@ class Covering:
     def from_indices(
         cls, catalog: PMCatalog, indices, kind: CoveringKind
     ) -> "Covering":
+        """The validated covering of these members: builds only their EdgeSets."""
         members = tuple(sorted(indices))
-        matchings = tuple(catalog.matchings[catalog.check_member(i)] for i in members)
+        m, masks = catalog.graph.m, catalog.masks
+        matchings = tuple(EdgeSet(m, masks[catalog.check_member(i)]) for i in members)
         cov = cls(catalog.graph, matchings, kind, catalog, members)
         cov.validate()
         return cov

@@ -1,4 +1,4 @@
-"""Complete perfect-matching enumeration and pairwise matching statistics."""
+"""Perfect-matching enumeration into edge-bitmask catalogs, and pair statistics."""
 
 from __future__ import annotations
 
@@ -21,24 +21,28 @@ from .graphs import CubicGraph, EdgeSet, _bfs_forest
 class PMCatalog:
     """The complete, canonically ordered list of perfect matchings of a graph.
 
-    Matchings are sorted by ascending bit pattern, so catalog indices are
-    deterministic across runs.  The edge x member incidence is held two
-    ways: ``masks`` (one edge bitmask per member) and ``edge_rows`` (one
-    member bitmask per edge).  These and the views derived from them
-    (``index_by_mask``, ``pair_stats`` and the GF(2) views of the edge rows)
-    are each built at most once, on first access.
+    Members are stored as sorted edge bitmasks (ints in 0..2^m - 1), so
+    catalog indices are deterministic.  Each view is built once, on first
+    access: ``edge_rows`` (the transpose) and its GF(2) views, ``pair_stats``,
+    ``index_by_mask`` and ``matchings``, the ``EdgeSet``s that no solver reads.
     """
 
     graph: CubicGraph
-    matchings: tuple[EdgeSet, ...]
+    masks: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        m = self.graph.m
+        for i, mask in enumerate(self.masks):
+            if type(mask) is not int or mask < 0 or mask >> m:
+                raise CatalogError(f"member {i} is {mask!r}, not in 0..2^{m} - 1")
 
     @property
     def count(self) -> int:
-        return len(self.matchings)
+        return len(self.masks)
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(m.bits for m in self.matchings)
+    def matchings(self) -> tuple[EdgeSet, ...]:
+        return tuple(EdgeSet(self.graph.m, mask) for mask in self.masks)
 
     def check_member(self, i: int) -> int:
         """i itself; CatalogError unless 0 <= i < count (no wrap-around)."""
@@ -200,7 +204,7 @@ def enumerate_perfect_matchings(
     except RecursionError:
         raise _too_deep(g) from None
     found.sort()
-    return PMCatalog(g, tuple(EdgeSet(g.m, bits) for bits in found))
+    return PMCatalog(g, tuple(found))
 
 
 @dataclass(frozen=True)

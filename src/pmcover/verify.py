@@ -45,7 +45,7 @@ from .generators import (
     two_factor_from_cycles,
 )
 from .gf2 import gf2_in_span
-from .graphs import CubicGraph, is_perfect_matching, two_factor_of
+from .graphs import CubicGraph, EdgeSet, is_perfect_matching, two_factor_of
 from .matchings import enumerate_perfect_matchings, pm_pair_stats
 
 # seeds the random graphs of criteria 7 and 8, whose check lines depend on it
@@ -121,8 +121,8 @@ def _xor(masks: tuple[int, ...], indices) -> int:
 def _nine_cycle_good_pair(g: CubicGraph):
     """A 2-factor of two 9-cycles admitting a good triple, with its certificate."""
     cat = enumerate_perfect_matchings(g)
-    for pm in cat.matchings:
-        tf = two_factor_of(g, pm)
+    for mask in cat.masks:
+        tf = two_factor_of(g, EdgeSet(g.m, mask))
         if sorted(len(c) for c in tf.cycles) != [9, 9]:
             continue
         cert = find_good_triple(g, tf, 0, 1)

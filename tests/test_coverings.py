@@ -32,7 +32,7 @@ from pmcover.generators import (
     theta,
 )
 from pmcover.gf2 import gf2_in_span, gf2_signed_weights
-from pmcover.graphs import find_bridges, is_perfect_matching
+from pmcover.graphs import EdgeSet, find_bridges, is_perfect_matching
 from pmcover.matchings import enumerate_perfect_matchings
 from pmcover.coverings import (
     Covering,
@@ -1372,3 +1372,50 @@ def test_find_k_covering_is_lex_smallest():
         )
         assert chosen == expect
 
+
+class TestSingleRepresentation:
+    """Solvers read ``catalog.masks``; the ``matchings`` view is never built."""
+
+    @pytest.mark.parametrize(
+        "make,fields",
+        [(lambda: random_bridgeless_cubic(26, 0), {"b": 0, "tau": 3}),
+         (lambda: flower_snark(5), {"tau": 4}),
+         (tau5odd_example, {"tau": 5, "tau_odd": 7}),
+         (lambda: k4_of(petersen(), petersen(), k33(), k33()), {"tau": 5}),
+         (bridged_double_k4, {"fulkerson": False, "tau": None}),
+         (matching_free_cubic, {"pm_count": 0})],
+        ids=["random:26:0", "flower:5", "tau5odd", "K4(P,P,K33,K33)",
+             "bridged", "matching-free"],
+    )
+    def test_analyze_builds_no_matchings_view(self, monkeypatch, make, fields):
+        catalogs = []
+        enumerate_ = coverings.enumerate_perfect_matchings
+
+        def kept(*args):
+            catalogs.append(enumerate_(*args))
+            return catalogs[-1]
+
+        monkeypatch.setattr(coverings, "enumerate_perfect_matchings", kept)
+        metrics, _ = analyze_graph(make())
+        assert {key: metrics[key] for key in fields} == fields
+        assert len(catalogs) == 1 and "matchings" not in vars(catalogs[0])
+
+    @pytest.mark.parametrize(
+        "graph",
+        [petersen(), blanusa(1), flower_snark(5), tau5odd_example(),
+         random_bridgeless_cubic(26, 0)],
+        ids=["petersen", "blanusa1", "flower5", "tau5odd", "random:26:0"],
+    )
+    def test_solvers_build_no_matchings_view(self, graph):
+        g, cat = catalog_of(graph)
+        witnesses = [
+            covering_number(g, cat, cap=6).witness,
+            odd_covering_number(g, cat, cap=7).witness,
+            fulkerson_covering(g, cat),
+        ]
+        triples = find_fr_triples(cat)
+        if triples:
+            fr_structure(g, cat, triples[0])
+        assert "matchings" not in vars(cat)
+        for cov in filter(None, witnesses):
+            assert cov.matchings == tuple(EdgeSet(g.m, cat.masks[i]) for i in cov.members)

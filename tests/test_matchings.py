@@ -6,7 +6,7 @@ import pytest
 
 from pmcover import verify
 from pmcover.compositions import tau5odd_example
-from pmcover.errors import FewerThanTwoMatchings, TooManyMatchings
+from pmcover.errors import CatalogError, FewerThanTwoMatchings, TooManyMatchings
 from pmcover.generators import (
     blanusa,
     flower_snark,
@@ -107,10 +107,23 @@ def test_catalog_views_match_the_matchings_and_are_built_once():
             expect = [i for i, pm in enumerate(cat.matchings) if e in pm]
             assert cat.edge_rows[e] == sum(1 << i for i in expect)
         assert cat.masks is cat.masks
+        assert cat.matchings is cat.matchings
         assert cat.edge_rows is cat.edge_rows
+        assert cat.count == len(cat.masks)
     bridged = enumerate_perfect_matchings(bridged_double_k4())
     assert 0 in bridged.edge_rows
     assert PMCatalog(petersen(), ()).edge_rows == (0,) * 15
+
+
+@pytest.mark.parametrize(
+    "member", [EdgeSet(15, 0b111), -1, 1 << 15], ids=["EdgeSet", "-1", "1<<m"]
+)
+def test_catalog_rejects_a_member_that_is_not_an_edge_mask(member):
+    # checked when the catalog is built, not deep inside a solver
+    g = petersen()
+    masks = enumerate_perfect_matchings(g).masks
+    with pytest.raises(CatalogError, match=r"member 2 is .*in 0\.\.2\^15 - 1"):
+        PMCatalog(g, masks[:2] + (member,) + masks[3:])
 
 
 def test_pair_stats_petersen():
@@ -226,7 +239,7 @@ def test_verify_oracle_counts_every_perfect_matching(name):
 def test_verify_oracle_catches_a_catalog_missing_a_member(monkeypatch):
     def short_catalog(g, *args, **kwargs):
         cat = enumerate_perfect_matchings(g, *args, **kwargs)
-        return PMCatalog(g, cat.matchings[:-1])
+        return PMCatalog(g, cat.masks[:-1])
 
     name = "oracles.pm-enumeration-matches-brute-force-n<=12"
     assert {r.name: r.ok for r in verify.criterion_8_oracles()}[name]
