@@ -3,7 +3,8 @@
 The first operand keeps its vertex labels and each later one is shifted past
 the vertices before it, so the linking edges (one 2-cut, one 3-cut, or the
 four 3-cuts of the K4 pattern) are the edges with exactly one end in an
-operand's vertex range.
+operand's vertex range.  The 3-cut join and the K4 pattern share one
+linker, ``_link_blocks``: it deletes a vertex per block and joins the stubs.
 """
 
 from __future__ import annotations
@@ -37,21 +38,33 @@ def two_cut_join(
     return CubicGraph(g1.n + g2.n, edges)
 
 
-def _delete_vertex(
-    g: CubicGraph, v: int
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """Edges of g - v (relabeled densely) and v's neighbors in edge order."""
-    if not 0 <= v < g.n:
-        raise BadVertex(f"vertex {v} out of range")
-    relabel = [w if w < v else w - 1 for w in range(g.n)]
-    incident = g.incidence[v]
-    stubs = [relabel[g.other_end(e, v)] for e in incident]
-    edges = [
-        (relabel[a], relabel[b])
-        for e, (a, b) in enumerate(g.edges)
-        if e not in incident
-    ]
-    return edges, stubs
+def _link_blocks(
+    blocks: list[tuple[CubicGraph, int]], links
+) -> CubicGraph:
+    """Delete each block's distinguished vertex and link the stubs.
+
+    Each block is relabeled densely and shifted past the vertices of the
+    blocks before it.  A link (i, x, j, y) joins stub x of block i to stub y
+    of block j; a block's stubs 0, 1, 2 are the neighbours of its deleted
+    vertex in ascending incident-edge order.
+    """
+    edges: list[tuple[int, int]] = []
+    stubs: list[list[int]] = []
+    total = 0
+    for g, v in blocks:
+        if not 0 <= v < g.n:
+            raise BadVertex(f"vertex {v} out of range")
+        label = [w + total - (w > v) for w in range(g.n)]
+        incident = g.incidence[v]
+        stubs.append([label[g.other_end(e, v)] for e in incident])
+        edges += [
+            (label[a], label[b])
+            for e, (a, b) in enumerate(g.edges)
+            if e not in incident
+        ]
+        total += g.n - 1
+    edges += [(stubs[i][x], stubs[j][y]) for i, x, j, y in links]
+    return CubicGraph(total, edges)
 
 
 def three_cut_join(
@@ -62,23 +75,18 @@ def three_cut_join(
     Stubs pair up by ascending incident-edge index at the deleted vertices;
     the three linking edges form the principal 3-edge cut.
     """
-    edges1, stubs1 = _delete_vertex(g1, v1)
-    edges2, stubs2 = _delete_vertex(g2, v2)
-    off = g1.n - 1
-    edges = list(edges1) + [(a + off, b + off) for a, b in edges2]
-    edges += [(s1, s2 + off) for s1, s2 in zip(stubs1, stubs2)]
-    return CubicGraph(g1.n + g2.n - 2, edges)
+    return _link_blocks([(g1, v1), (g2, v2)], [(0, x, 1, x) for x in range(3)])
 
 
-# one linking edge between each pair of the four blocks, labeling each
-# block's stubs a, b, c by ascending incident-edge index
+# one linking edge between each pair of the four blocks; stubs 0, 1, 2 of
+# the k-th block (k = 1..4) are named ak, bk, ck
 _K4_LINKS = (
-    (0, "a", 2, "a"),  # a1 - a3
-    (0, "b", 3, "a"),  # b1 - a4
-    (0, "c", 1, "c"),  # c1 - c2
-    (1, "b", 3, "c"),  # b2 - c4
-    (1, "a", 2, "c"),  # a2 - c3
-    (2, "b", 3, "b"),  # b3 - b4
+    (0, 0, 2, 0),  # a1 - a3
+    (0, 1, 3, 0),  # b1 - a4
+    (0, 2, 1, 2),  # c1 - c2
+    (1, 1, 3, 2),  # b2 - c4
+    (1, 0, 2, 2),  # a2 - c3
+    (2, 1, 3, 1),  # b3 - b4
 )
 
 
@@ -93,18 +101,7 @@ def k4_composition(
     """
     if len(blocks) != 4:
         raise BadVertex("K4 composition needs exactly four blocks")
-    edges: list[tuple[int, int]] = []
-    stub_of: list[dict[str, int]] = []
-    total = 0
-    for g, v in blocks:
-        block_edges, stubs = _delete_vertex(g, v)
-        edges += [(a + total, b + total) for a, b in block_edges]
-        stub_of.append(
-            {"a": stubs[0] + total, "b": stubs[1] + total, "c": stubs[2] + total}
-        )
-        total += g.n - 1
-    edges += [(stub_of[i][x], stub_of[j][y]) for i, x, j, y in _K4_LINKS]
-    return CubicGraph(total, edges)
+    return _link_blocks(blocks, _K4_LINKS)
 
 
 def tau5odd_example() -> CubicGraph:

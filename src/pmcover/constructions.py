@@ -204,10 +204,12 @@ def four_covering_from_good_pairs(
                 bits |= 1 << e
             base[1 + j] |= bits
 
-    matchings = [EdgeSet(g.m, bits) for bits in base]
     for j in (1, 2, 3):
-        expected = {cert.cross_edges[j - 1] for cert in rechecked}
-        if set(matchings[0] & matchings[j]) != expected:
+        expected = 0
+        for cert in rechecked:
+            expected |= 1 << cert.cross_edges[j - 1]
+        if base[0] & base[j] != expected:
             raise ConstructionFailed("cross-edge intersections are off")
+    matchings = [EdgeSet(g.m, bits) for bits in base]
     # from_matchings checks that the members are perfect matchings covering E
     return Covering.from_matchings(g, matchings, CoveringKind.PLAIN)

@@ -24,6 +24,13 @@ def _reduced_rows(rows: Iterable[int]) -> Iterator[tuple[int, int]]:
             basis.sort(reverse=True)
 
 
+def gf2_transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The columns of the `width`-bit `rows`: bit j of column i is bit i of
+    row j, read off one binary string of the rows joined last to first."""
+    bits = "".join(format(row, f"0{width}b") for row in reversed(rows))
+    return tuple(int(bits[width - 1 - i :: width] or "0", 2) for i in range(width))
+
+
 def gf2_in_span(rows: Iterable[int], vec: int) -> bool:
     """Whether `vec` lies in the GF(2) span of `rows`."""
     *_, (_, reduced) = _reduced_rows([*rows, vec])
@@ -70,9 +77,9 @@ def gf2_signed_weights(
 
     Bit-sliced over the 2^r combinations at once, on 2^r-bit integers whose
     bit u stands for combination u.  Column i of the sum is the parity of
-    u & c_i, where bit j of the pattern c_i is bit i of row j; the patterns
-    are read off one string transpose of the rows.  The weights W form a
-    counter whose slice k holds bit k of every weight.  It is built by
+    u & c_i, where the pattern c_i is column i of ``gf2_transpose``: bit j
+    of it is bit i of row j.  The weights W form a counter whose slice k
+    holds bit k of every weight.  It is built by
     splitting the distinct nonzero patterns on their top bit into P0 and P1
     (that bit cleared): W(0, u') = W0(u') + W1(u') and W(1, u') = W0(u') +
     |P1| - W1(u'), one bit-sliced add and complement on integers of half
@@ -135,8 +142,7 @@ def gf2_signed_weights(
             carry0, carry1 = a & b | carry0 & s0, a & c | carry1 & s1
         return slices
 
-    bits = "".join(format(row, f"0{width}b") for row in reversed(independent))
-    patterns = Counter(int(bits[width - 1 - i :: width] or "0", 2) for i in range(width))
+    patterns = Counter(gf2_transpose(independent, width))
     patterns.pop(0, None)  # a zero column is 0 in every sum
     slices = counter(list(patterns.items()), patterns.total(), rank)
     slices += [0] * (width.bit_length() - len(slices))

@@ -9,8 +9,10 @@ hashing, pickling and graph6 read nothing else, and ``incidence[v]`` holds
 the three edge ids at v.  Everything is immutable after construction, so
 instances can be shared freely between threads.
 
-Edge subsets (matchings, cuts, cycle edge sets) are ``EdgeSet`` values: a
-fixed-width bit vector over edge indices backed by a plain int.
+Solvers compute on edge subsets as plain int masks (bit e set when edge e
+is in).  ``EdgeSet`` is the validated edge subset that the public API
+returns and prints (matchings, cuts, cycle edge sets): a fixed-width,
+immutable wrapper of one such mask.
 
 The cycles of an edge set whose degrees are all 0 or 2 (a 2-factor, the
 alternating cycles of a Fan-Raspaud triple) come from one walker,
@@ -68,26 +70,6 @@ class EdgeSet:
             bits |= 1 << e
         return cls(width, bits)
 
-    def _check(self, other: "EdgeSet") -> None:
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} != {other.width}")
-
-    def __or__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check(other)
-        return EdgeSet(self.width, self.bits | other.bits)
-
-    def __and__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check(other)
-        return EdgeSet(self.width, self.bits & other.bits)
-
-    def __xor__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check(other)
-        return EdgeSet(self.width, self.bits ^ other.bits)
-
-    def __sub__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check(other)
-        return EdgeSet(self.width, self.bits & ~other.bits)
-
     def __len__(self) -> int:
         return self.bits.bit_count()
 
@@ -103,10 +85,6 @@ class EdgeSet:
 
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    def __le__(self, other: "EdgeSet") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
 
     def __eq__(self, other) -> bool:
         return (

@@ -13,7 +13,7 @@ from .errors import (
     FewerThanTwoMatchings,
     TooManyMatchings,
 )
-from .gf2 import gf2_row_reduction, gf2_signed_weights
+from .gf2 import gf2_row_reduction, gf2_signed_weights, gf2_transpose
 from .graphs import CubicGraph, EdgeSet, _bfs_forest
 
 
@@ -52,15 +52,9 @@ class PMCatalog:
 
     @cached_property
     def edge_rows(self) -> tuple[int, ...]:
-        """Row e of the edge x member matrix: bit i set when member i holds e.
-
-        The transpose of ``masks``, read off their binary strings joined
-        from the last member to the first: row e is every m-th character,
-        starting at edge e's place.
-        """
-        m = self.graph.m
-        bits = "".join(format(mask, f"0{m}b") for mask in reversed(self.masks))
-        return tuple(int(bits[m - 1 - e :: m] or "0", 2) for e in range(m))
+        """Row e of the edge x member matrix: bit i set when member i holds e,
+        the ``gf2_transpose`` of ``masks``."""
+        return gf2_transpose(self.masks, self.graph.m)
 
     @cached_property
     def edge_row_reduction(self) -> tuple[tuple[int, ...], bool]:

@@ -44,9 +44,8 @@ from .generators import (
     theta,
     two_factor_from_cycles,
 )
-from .gf2 import gf2_in_span
 from .graphs import CubicGraph, EdgeSet, is_perfect_matching, two_factor_of
-from .matchings import enumerate_perfect_matchings, pm_pair_stats
+from .matchings import PMCatalog, enumerate_perfect_matchings, pm_pair_stats
 
 # seeds the random graphs of criteria 7 and 8, whose check lines depend on it
 SEED = 20260809
@@ -98,7 +97,7 @@ def criterion_1_petersen() -> list[CheckResult]:
     s.check(
         "no-odd-covering",
         odd.status == "none_exists"
-        and not gf2_in_span(masks, full)
+        and not cat.all_ones_in_span
         and exhaustive_none,
     )
     stats = pm_pair_stats(cat)
@@ -118,9 +117,8 @@ def _xor(masks: tuple[int, ...], indices) -> int:
     return acc
 
 
-def _nine_cycle_good_pair(g: CubicGraph):
+def _nine_cycle_good_pair(g: CubicGraph, cat: PMCatalog):
     """A 2-factor of two 9-cycles admitting a good triple, with its certificate."""
-    cat = enumerate_perfect_matchings(g)
     for mask in cat.masks:
         tf = two_factor_of(g, EdgeSet(g.m, mask))
         if sorted(len(c) for c in tf.cycles) != [9, 9]:
@@ -138,7 +136,7 @@ def criterion_2_blanusa() -> list[CheckResult]:
         cat = enumerate_perfect_matchings(g)
         tau = covering_number(g, cat, cap=6)
         s.check(f"{which}.tau-4", tau.tau == 4, f"tau={tau.tau}")
-        tf, cert = _nine_cycle_good_pair(g)
+        tf, cert = _nine_cycle_good_pair(g, cat)
         s.check(f"{which}.two-9-cycles-good-triple", cert is not None)
         if cert is not None:
             cov = four_covering_from_good_pairs(g, tf, [cert])
@@ -376,10 +374,7 @@ def criterion_8_oracles() -> list[CheckResult]:
         if cat.count > 25:
             odd_ok = False
             continue
-        masks = cat.masks
-        full = (1 << g.m) - 1
-        exhaustive = _subset_xor_reaches(masks, full)
-        if exhaustive != gf2_in_span(masks, full):
+        if _subset_xor_reaches(cat.masks, (1 << g.m) - 1) != cat.all_ones_in_span:
             odd_ok = False
     s.check("gf2-feasibility-matches-exhaustive-subsets", odd_ok)
     return s.results

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from pmcover.compositions import (
@@ -10,10 +13,13 @@ from pmcover.coverings import covering_number, odd_covering_number
 from pmcover.edge_coloring import is_three_edge_colorable
 from pmcover.errors import BadEdgeIndex, BadVertex
 from pmcover.generators import (
+    blanusa,
+    flower_snark,
     is_petersen,
     k4,
     k33,
     petersen,
+    prism,
     random_bridgeless_cubic,
     theta,
 )
@@ -93,7 +99,7 @@ class TestThreeCutJoin:
         cov = covering_number(g, cat, cap=4).witness
         if cov is not None:
             cut = crossing_edges(g, 0, 9)
-            assert any(cut <= pm for pm in cov.matchings)
+            assert any(cut.bits & ~pm.bits == 0 for pm in cov.matchings)
 
     def test_theta_collapses_to_single_vertex(self):
         g = three_cut_join(petersen(), 0, theta(), 0)
@@ -196,3 +202,31 @@ class TestCompositionPropositions:
         pkk = three_cut_join(pk, 0, k33(), 0)
         cat = enumerate_perfect_matchings(pkk)
         assert odd_covering_number(pkk, cat, cap=7).status == "none_exists"
+
+
+def composed_edge_lists():
+    """The vertex count and edge list of 200 seeded 3-cut joins and 100 K4
+    compositions of small operands, multigraphs and random graphs among them."""
+    operands = [theta(), k4(), k33(), prism(3), prism(4), petersen(), blanusa(1)]
+    operands += [flower_snark(5)]
+    operands += [random_bridgeless_cubic(n, 30 + n) for n in (8, 10, 12)]
+    rng = random.Random(2028)
+    for _ in range(200):
+        g1, g2 = rng.choice(operands), rng.choice(operands)
+        g = three_cut_join(g1, rng.randrange(g1.n), g2, rng.randrange(g2.n))
+        yield g.n, g.edges
+    for _ in range(100):
+        blocks = [rng.choice(operands) for _ in range(4)]
+        g = k4_composition([(b, rng.randrange(b.n)) for b in blocks])
+        yield g.n, g.edges
+
+
+def test_joins_match_the_per_operator_linkers_they_replaced():
+    # the sha256 of the repr of every edge list, order included, as the
+    # separate 3-cut and K4 linkers built them
+    digest = hashlib.sha256()
+    for n, edges in composed_edge_lists():
+        digest.update(repr((n, edges)).encode())
+    assert digest.hexdigest() == (
+        "3c6981b0d129a0cd9472b91a8b4534e2442e3083979859de186a72180c2e4ac5"
+    )

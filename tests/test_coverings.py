@@ -512,7 +512,7 @@ class TestMultiplicities:
         g, cat = catalog_of(blanusa(2))
         cov = covering_number(g, cat, cap=4).witness
         for a, b in combinations(cov.members, 2):
-            assert cat.matchings[a] & cat.matchings[b]
+            assert cat.masks[a] & cat.masks[b]
 
     def test_wrong_size_rejected(self):
         g, cat = catalog_of(petersen())

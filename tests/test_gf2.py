@@ -27,6 +27,7 @@ from pmcover.gf2 import (
     gf2_in_span,
     gf2_row_reduction,
     gf2_signed_weights,
+    gf2_transpose,
 )
 from pmcover.matchings import enumerate_perfect_matchings
 
@@ -170,6 +171,25 @@ GRAPHS = {
     "bridged": bridged_double_k4,
     "matching_free": matching_free_cubic,
 }
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("width", [0, 1, 7, 64, 200])
+    @pytest.mark.parametrize("count", [0, 1, 5, 40])
+    def test_matches_a_bit_by_bit_transpose(self, width, count):
+        rng = random.Random(1000 * width + count)
+        rows = [rng.getrandbits(width) for _ in range(count)]
+        columns = tuple(
+            sum(((row >> i) & 1) << j for j, row in enumerate(rows))
+            for i in range(width)
+        )
+        assert gf2_transpose(rows, width) == columns
+
+    @pytest.mark.parametrize("make", GRAPHS.values(), ids=GRAPHS.keys())
+    def test_edge_rows_are_the_transpose_of_the_masks(self, make):
+        g = make()
+        cat = enumerate_perfect_matchings(g)
+        assert cat.edge_rows == gf2_transpose(cat.masks, g.m)
 
 
 class TestRowReduction:

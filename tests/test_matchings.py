@@ -245,3 +245,15 @@ def test_verify_oracle_catches_a_catalog_missing_a_member(monkeypatch):
     assert {r.name: r.ok for r in verify.criterion_8_oracles()}[name]
     monkeypatch.setattr(verify, "enumerate_perfect_matchings", short_catalog)
     assert not {r.name: r.ok for r in verify.criterion_8_oracles()}[name]
+
+
+def test_verify_oracle_reads_the_span_test_the_solvers_use(monkeypatch):
+    # criterion 8 compares the exhaustive odd-subset search with
+    # PMCatalog.all_ones_in_span, so a wrong span test fails its line
+    name = "oracles.gf2-feasibility-matches-exhaustive-subsets"
+    assert {r.name: r.ok for r in verify.criterion_8_oracles()}[name]
+    in_span = PMCatalog.all_ones_in_span
+    monkeypatch.setattr(
+        PMCatalog, "all_ones_in_span", property(lambda cat: not in_span.fget(cat))
+    )
+    assert not {r.name: r.ok for r in verify.criterion_8_oracles()}[name]
