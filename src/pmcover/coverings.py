@@ -77,7 +77,6 @@ from .graphs import (
 from .matchings import (
     PMCatalog,
     check_catalog,
-    check_enumeration_depth,
     enumerate_perfect_matchings,
 )
 
@@ -855,13 +854,13 @@ def analyze_graph(
     least tau.  Otherwise tau_odd and its count come
     from ``_odd_cover_size``, which reads the weight-enumerator pass the tau
     phase ran, if it ran, and searches for no witness when the enumerator
-    settles them.  A NaN ``deadline`` and a graph too big to enumerate
-    (EnumerationTooDeep) are refused before the first phase.
+    settles them.  A NaN ``deadline`` is refused before the first phase;
+    PM enumeration is bounded on a graph of any size by ``max_matchings``
+    (TooManyMatchings) and the deadline.
     """
     check_cap(cap)
     if deadline is not None and math.isnan(deadline):
         raise ValueError("deadline must be a time.monotonic() value, got nan")
-    check_enumeration_depth(g)
     metrics: dict = {key: None for key in REPORT_FIELDS}
     metrics["n"], metrics["m"] = g.n, g.m
     metrics["tau_cap"] = cap

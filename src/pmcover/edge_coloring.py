@@ -17,9 +17,9 @@ def three_edge_coloring(
 ) -> tuple[EdgeSet, EdgeSet, EdgeSet] | None:
     """A proper 3-edge-coloring as three color classes, or None.
 
-    Backtracking on edges, always branching on the most constrained
-    uncolored edge; the first edge and a neighbor are pinned to break
-    color symmetry.
+    Backtracking on edges over an explicit trail, always branching on the
+    most constrained uncolored edge and trying its colors lowest first; the
+    first edge and a neighbor are pinned to break color symmetry.
     """
     m = g.m
     ends = g.edges
@@ -58,30 +58,21 @@ def three_edge_coloring(
                     break
         return best
 
-    def solve(remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        e = pick()
-        cands = candidates(e)
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            place(e, low.bit_length() - 1)
-            if solve(remaining - 1):
-                return True
-            unplace(e)
-        return False
-
     place(0, 0)
-    pinned = 1
-    u, v = ends[0]
-    for e in g.incidence[u]:
-        if e != 0:
-            place(e, 1)
-            pinned += 1
-            break
-    if not solve(m - pinned):
-        return None
+    place(next(e for e in g.incidence[ends[0][0]] if e != 0), 1)
+    trail: list[tuple[int, int]] = []  # (edge, colors it has left to try)
+    e = pick()
+    while e is not None:
+        cands = candidates(e)
+        while not cands:  # a dead end: undo back to an edge with a color left
+            if not trail:
+                return None
+            e, cands = trail.pop()
+            unplace(e)
+        low = cands & -cands
+        trail.append((e, cands ^ low))
+        place(e, low.bit_length() - 1)
+        e = pick()
     classes = [0, 0, 0]
     for e, c in enumerate(color):
         classes[c] |= 1 << e

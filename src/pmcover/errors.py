@@ -65,10 +65,6 @@ class TooManyMatchings(CatalogError):
     """Enumeration aborted because the requested cap was exceeded."""
 
 
-class EnumerationTooDeep(CatalogError):
-    """Enumeration would recurse past the interpreter's recursion limit."""
-
-
 class CoveringError(ValueError):
     """Base class for covering construction errors."""
 

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
     CatalogError,
     CatalogMismatch,
-    EnumerationTooDeep,
     FewerThanTwoMatchings,
     TooManyMatchings,
 )
@@ -133,39 +131,19 @@ def check_max_matchings(max_matchings: int | None) -> None:
         raise ValueError(f"max_matchings must be nonnegative, got {max_matchings}")
 
 
-def _too_deep(g: CubicGraph) -> EnumerationTooDeep:
-    return EnumerationTooDeep(
-        f"a graph with n={g.n} vertices is too big to enumerate: the search "
-        f"recurses n/2 deep, past the recursion limit {sys.getrecursionlimit()}"
-    )
-
-
-def check_enumeration_depth(g: CubicGraph) -> None:
-    """Raise EnumerationTooDeep when the n/2-deep enumeration, called from
-    the caller's frame, would pass the recursion limit.
-
-    Only the frames already on the stack are counted, so a graph this lets
-    through can still fail inside ``enumerate_perfect_matchings``, a few
-    frames deeper, with the same error.
-    """
-    depth, frame = 0, sys._getframe(1)
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    if depth + g.n // 2 > sys.getrecursionlimit():
-        raise _too_deep(g)
-
-
 def enumerate_perfect_matchings(
     g: CubicGraph, max_matchings: int | None = None
 ) -> PMCatalog:
     """All perfect matchings, each exactly once, canonically sorted.
 
-    Backtracking: repeatedly saturate the first free vertex in BFS-forest
-    order, branching over its incident edges.  Following the BFS order keeps
-    the saturated region connected, so few branches strand a free vertex
-    whose neighbours are all taken.  Bit p of ``saturated`` stands for the
-    p-th vertex in that order.  The recursion is n/2 deep, so a graph too
-    big for the interpreter's recursion limit raises EnumerationTooDeep.
+    Backtracking over an explicit stack of (saturated, chosen) states:
+    repeatedly saturate the first free vertex in BFS-forest order,
+    branching over its incident edges.  Following the BFS order keeps the
+    saturated region connected, so few branches strand a free vertex whose
+    neighbours are all taken.  Bit p of ``saturated`` stands for the p-th
+    vertex in that order.  No graph is too big to start: the catalog itself
+    grows exponentially with n, and ``max_matchings`` (TooManyMatchings as
+    soon as more are found) and a caller's deadline bound the run.
     """
     check_max_matchings(max_matchings)
     full = (1 << g.n) - 1
@@ -179,24 +157,18 @@ def enumerate_perfect_matchings(
         for v in order
     ]
     found: list[int] = []
-
-    def extend(saturated: int, chosen: int) -> None:
+    stack = [(0, 0)]
+    while stack:
+        saturated, chosen = stack.pop()
         if saturated == full:
             found.append(chosen)
             if max_matchings is not None and len(found) > max_matchings:
-                raise TooManyMatchings(
-                    f"more than {max_matchings} perfect matchings"
-                )
-            return
+                raise TooManyMatchings(f"more than {max_matchings} perfect matchings")
+            continue
         low = ~saturated & (saturated + 1)  # the first free position's bit
         for edge_bit, end_bit in options[low.bit_length() - 1]:
             if not saturated & end_bit:
-                extend(saturated | low | end_bit, chosen | edge_bit)
-
-    try:
-        extend(0, 0)
-    except RecursionError:
-        raise _too_deep(g) from None
+                stack.append((saturated | low | end_bit, chosen | edge_bit))
     found.sort()
     return PMCatalog(g, tuple(found))
 

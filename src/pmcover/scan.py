@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .coverings import DEFAULT_CAP, DEFAULT_ODD_CAP, analyze_graph, check_cap
-from .errors import EnumerationTooDeep, GraphError, TooManyMatchings
+from .errors import GraphError, TooManyMatchings
 from .generators import is_petersen
 from .graph6 import iter_graph6_file, parse_graph6, to_graph6
 from .matchings import check_max_matchings
@@ -103,7 +103,7 @@ def _scan_one(payload: tuple[str, int, int, float | None, int | None]) -> ScanRe
             max_matchings=max_matchings, deadline=deadline,
         )
         error = None
-    except (TooManyMatchings, EnumerationTooDeep) as exc:
+    except TooManyMatchings as exc:
         metrics, status, error = {}, "error", str(exc)
     ms = int((time.monotonic() - start) * 1000)
     return ScanRecord(gid, metrics, status, ms, error)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from pmcover.cli import main
-from pmcover import coverings
+from pmcover.matchings import enumerate_perfect_matchings
 from pmcover.coverings import analyze_graph
 import pmcover.scan
 from pmcover.generators import petersen, prism, random_bridgeless_cubic
@@ -490,30 +490,40 @@ def test_an_infinite_timeout_is_no_limit(tmp_path):
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
-def test_a_graph_too_big_to_enumerate_is_an_error_not_a_traceback(
-    tmp_path, capsys, monkeypatch
+def test_enumeration_depth_is_not_bounded_by_the_recursion_limit(
+    tmp_path, capsys
 ):
-    # enumeration recurses n/2 = 60 deep on prism(60), past a limit 40 frames
-    # above the caller: the same failure as the default limit on prism(1100),
-    # reported before cyclic connectivity (seconds on prism(1100)) runs
-    def not_reached(*args):
-        raise AssertionError("cyclic connectivity ran")
-
-    monkeypatch.setattr(coverings, "cyclic_connectivity_at_least", not_reached)
+    # limits a margin of frames above the caller that a search recursing
+    # n/2 deep would pass: 12 frames for prism(16) (n/2 = 16), and 40 for
+    # prism(60) (n/2 = 60), where argparse and the scan need 20-30 of their
+    # own; only --max-pm stops prism(60)
+    g = prism(16)
+    full = enumerate_perfect_matchings(g)
     corpus = tmp_path / "c.g6"
     corpus.write_text(to_graph6(prism(60)) + "\n")
     out_file = tmp_path / "r.jsonl"
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    limit, depth = sys.getrecursionlimit(), len(inspect.stack(0))
     try:
-        code, _, err = run(capsys, "analyze", "prism:60")
-        summary = run_scan(corpus, out_file)
+        sys.setrecursionlimit(depth + 12)
+        low = enumerate_perfect_matchings(g)
+        sys.setrecursionlimit(depth + 40)
+        code, _, err = run(capsys, "analyze", "prism:60", "--max-pm", "10")
+        summary = run_scan(corpus, out_file, max_matchings=10)
     finally:
         sys.setrecursionlimit(limit)
-    assert code == 2 and err.startswith("error: a graph with n=120 vertices")
+    assert low.masks == full.masks and low.count == 2209
+    assert code == 2 and err == "error: more than 10 perfect matchings\n"
     assert summary.errors == 1
     (record,) = map(ScanRecord.from_json, out_file.read_text().splitlines())
-    assert record.status == "error" and "n=120" in record.error
+    assert record.status == "error"
+    assert record.error == "more than 10 perfect matchings"
+
+
+def test_a_graph_past_the_default_recursion_limit_stops_on_max_pm(capsys):
+    # n/2 = 1100 is past the default limit of 1000
+    code, out, err = run(capsys, "enumerate-pm", "prism:1100", "--max-pm", "10")
+    assert code == 2 and out == ""
+    assert err == "error: more than 10 perfect matchings\n"
 
 
 THETA_TEXT = (

@@ -230,7 +230,9 @@ class TestRandomCubic:
 
 class TestEdgeColoring:
     def test_colorable_graphs_get_three_matchings(self):
-        for g in (k4(), k33(), prism(4), prism(5), theta()):
+        # prism(400) has m = 1200 edges, each one branching step: past the
+        # default recursion limit, were the search to recurse per edge
+        for g in (k4(), k33(), prism(4), prism(5), theta(), prism(400)):
             classes = three_edge_coloring(g)
             assert classes is not None
             for cls in classes:

@@ -214,6 +214,18 @@ def test_max_matchings_abort():
         enumerate_perfect_matchings(petersen(), max_matchings=3)
 
 
+@pytest.mark.parametrize(
+    "g", [petersen(), blanusa(1), random_bridgeless_cubic(26, 0)],
+    ids=["petersen", "blanusa1", "random26-0"],
+)
+def test_max_matchings_boundary(g):
+    # the cap counts matchings as the search finds them, in whatever order
+    full = enumerate_perfect_matchings(g)
+    assert enumerate_perfect_matchings(g, max_matchings=full.count) == full
+    with pytest.raises(TooManyMatchings, match=f"more than {full.count - 1} "):
+        enumerate_perfect_matchings(g, max_matchings=full.count - 1)
+
+
 def test_negative_max_matchings_rejected_even_without_matchings():
     with pytest.raises(ValueError, match="max_matchings must be nonnegative, got -1"):
         enumerate_perfect_matchings(matching_free_cubic(), max_matchings=-1)
