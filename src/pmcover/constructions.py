@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .coverings import Covering, CoveringKind
 from .errors import ConstructionFailed, InvalidCertificate, NotOddCycles
-from .graphs import CubicGraph, EdgeSet, TwoFactor
+from .graphs import CubicGraph, TwoFactor
 
 
 @dataclass(frozen=True)
@@ -210,6 +210,5 @@ def four_covering_from_good_pairs(
             expected |= 1 << cert.cross_edges[j - 1]
         if base[0] & base[j] != expected:
             raise ConstructionFailed("cross-edge intersections are off")
-    matchings = [EdgeSet(g.m, bits) for bits in base]
-    # from_matchings checks that the members are perfect matchings covering E
-    return Covering.from_matchings(g, matchings, CoveringKind.PLAIN)
+    # construction checks that the members are perfect matchings covering E
+    return Covering(g, tuple(base), CoveringKind.PLAIN)

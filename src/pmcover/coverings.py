@@ -5,7 +5,8 @@ plain k-coverings, odd and even coverings (GF(2) feasibility, weight
 enumerator counts and subset search), Fulkerson coverings, Fan-Raspaud
 triples and the multiplicity structure of 4-coverings.  Searches are
 deterministic and always break ties toward the lexicographically smallest
-witness by sorted catalog indices.
+witness by sorted catalog indices.  Results are ``Covering``s, which hold
+member masks and are checked when built; their ``EdgeSet``s are a view.
 
 In a cubic graph each perfect matching has n/2 of the 3n/2 edges, and the
 covering searches use what that forces:
@@ -54,9 +55,12 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property, reduce
 from itertools import islice
+from operator import or_, xor
 
 from .errors import (
+    CatalogError,
     CoveringError,
     DeadlineExceeded,
     InvalidParams,
@@ -72,6 +76,7 @@ from .graphs import (
     cyclic_connectivity_at_least,
     find_bridges,
     is_perfect_matching,
+    is_perfect_matching_mask,
     walk_cycles,
 )
 from .matchings import (
@@ -92,69 +97,71 @@ class CoveringKind(Enum):
 class Covering:
     """A multiset of perfect matchings tagged by covering kind.
 
-    ``members`` holds sorted catalog indices (with multiplicities) whenever
-    the covering is backed by a catalog; coverings produced constructively
-    (without enumerating all matchings first) carry the matchings alone.
+    ``masks``, the one member field, holds the members' edge bitmasks,
+    sorted, with multiplicity.  Construction checks each with
+    ``is_perfect_matching_mask`` and the kind by mask algebra: plain ORs to
+    all-ones, odd XORs to all-ones, even XORs to 0 and ORs to all-ones, and
+    Fulkerson is an even covering by six members (six n/2-edge matchings fill
+    3n = 2m edge slots, so each edge is covered exactly twice).  With a
+    catalog, ``members`` are the sorted catalog indices (the catalog is
+    sorted by mask); constructive coverings have neither.  ``matchings`` is
+    an ``EdgeSet`` view built on first use.
     """
 
     graph: CubicGraph
-    matchings: tuple[EdgeSet, ...]
+    masks: tuple[int, ...]
     kind: CoveringKind
     catalog: PMCatalog | None = None
-    members: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        g, kind = self.graph, self.kind
+        if not all(is_perfect_matching_mask(g, mask) for mask in self.masks):
+            raise NotACovering("member is not a perfect matching")
+        masks = tuple(sorted(self.masks))
+        object.__setattr__(self, "masks", masks)
+        if self.catalog is not None:
+            check_catalog(g, self.catalog)
+            if not set(masks) <= self.catalog.index_by_mask.keys():
+                raise CatalogError("member is not in the catalog")
+        full = (1 << g.m) - 1
+        union, odd = reduce(or_, masks, 0), reduce(xor, masks, 0)
+        if kind is CoveringKind.PLAIN and union != full:
+            raise NotACovering("plain covering leaves an edge uncovered")
+        if kind is CoveringKind.ODD and odd != full:
+            raise NotOdd("some edge is covered an even number of times")
+        if kind is CoveringKind.EVEN and (odd or union != full):
+            raise CoveringError("even covering needs even multiplicity >= 2")
+        if kind is CoveringKind.FULKERSON and (len(masks) != 6 or odd or union != full):
+            raise CoveringError("Fulkerson covering must cover twice with 6")
 
     @classmethod
     def from_indices(
         cls, catalog: PMCatalog, indices, kind: CoveringKind
     ) -> "Covering":
-        """The validated covering of these members: builds only their EdgeSets."""
-        members = tuple(sorted(indices))
-        m, masks = catalog.graph.m, catalog.masks
-        matchings = tuple(EdgeSet(m, masks[catalog.check_member(i)]) for i in members)
-        cov = cls(catalog.graph, matchings, kind, catalog, members)
-        cov.validate()
-        return cov
+        """The covering of these catalog members."""
+        masks = tuple(catalog.masks[catalog.check_member(i)] for i in indices)
+        return cls(catalog.graph, masks, kind, catalog)
 
-    @classmethod
-    def from_matchings(
-        cls, graph: CubicGraph, matchings, kind: CoveringKind, catalog=None
-    ) -> "Covering":
-        """A covering of these matchings; backed by ``catalog`` when given."""
-        if catalog is not None:
-            return cls.from_indices(catalog, map(catalog.index_of, matchings), kind)
-        ordered = tuple(sorted(matchings, key=lambda s: s.bits))
-        cov = cls(graph, ordered, kind)
-        cov.validate()
-        return cov
+    @property
+    def members(self) -> tuple[int, ...] | None:
+        """Sorted catalog indices, with multiplicity; None without a catalog."""
+        if self.catalog is None:
+            return None
+        index = self.catalog.index_by_mask
+        return tuple(index[mask] for mask in self.masks)
+
+    @cached_property
+    def matchings(self) -> tuple[EdgeSet, ...]:
+        return tuple(EdgeSet(self.graph.m, mask) for mask in self.masks)
 
     @property
     def size(self) -> int:
-        return len(self.matchings)
+        return len(self.masks)
 
     def multiplicities(self) -> tuple[int, ...]:
-        counts = [0] * self.graph.m
-        for pm in self.matchings:
-            for e in pm:
-                counts[e] += 1
-        return tuple(counts)
-
-    def validate(self) -> None:
-        for pm in self.matchings:
-            if not is_perfect_matching(self.graph, pm):
-                raise NotACovering("member is not a perfect matching")
-        mults = self.multiplicities()
-        if self.kind is CoveringKind.PLAIN:
-            if min(mults) < 1:
-                raise NotACovering("plain covering leaves an edge uncovered")
-        elif self.kind is CoveringKind.ODD:
-            if any(c % 2 == 0 for c in mults):
-                raise NotOdd("some edge is covered an even number of times")
-        elif self.kind is CoveringKind.EVEN:
-            if any(c % 2 == 1 or c < 2 for c in mults):
-                raise CoveringError("even covering needs even multiplicity >= 2")
-        elif self.kind is CoveringKind.FULKERSON:
-            if self.size != 6 or any(c != 2 for c in mults):
-                raise CoveringError("Fulkerson covering must cover twice with 6")
+        return tuple(
+            sum(mask >> e & 1 for mask in self.masks) for e in range(self.graph.m)
+        )
 
 
 @dataclass(frozen=True)
@@ -430,9 +437,7 @@ def covering_multiplicities(cov: Covering) -> MultiplicityReport:
     """
     if cov.size != 4:
         raise NotSize4(f"need a 4-covering, got size {cov.size}")
-    mults = cov.multiplicities()
-    if min(mults) < 1:
-        raise NotACovering("members do not cover every edge")
+    mults = cov.multiplicities()  # every kind of Covering covers every edge
     assert set(mults) <= {1, 2}, "4-covering multiplicity outside {1,2}"
     doubly = EdgeSet.from_indices(
         cov.graph.m, (e for e, c in enumerate(mults) if c == 2)
@@ -455,9 +460,10 @@ def fr_structure(
 ) -> FRStructure:
     """T0/T1/T2 partition of an FR-triple, with its alternating even cycles."""
     check_catalog(g, catalog)
-    m1, m2, m3 = (catalog.masks[catalog.check_member(i)] for i in triple)
-    if len(set(triple)) < 3 or m1 & m2 & m3:
+    masks = [catalog.masks[catalog.check_member(i)] for i in triple]
+    if len(masks) != 3 or len(set(triple)) < 3 or masks[0] & masks[1] & masks[2]:
         raise NotFRTriple(f"{triple} are not 3 distinct members with no common edge")
+    m1, m2, m3 = masks
     full = (1 << g.m) - 1
     double = (m1 & m2) | (m1 & m3) | (m2 & m3)
     covered = m1 | m2 | m3
@@ -634,32 +640,21 @@ def _odd_subsets(
 
 def odd_covering_from_four_covering(cov4: Covering) -> Covering:
     """Adjoin the doubly covered matching to a 4-covering: an odd 5-covering."""
-    report = covering_multiplicities(cov4)
-    extra = report.doubly_covered
-    mults = [c + (1 if e in extra else 0) for e, c in enumerate(report.vector)]
-    assert set(mults) <= {1, 3}, "derived covering not odd"
-    return Covering.from_matchings(
-        cov4.graph, cov4.matchings + (extra,), CoveringKind.ODD, cov4.catalog
-    )
+    extra = covering_multiplicities(cov4).doubly_covered.bits
+    return Covering(cov4.graph, cov4.masks + (extra,), CoveringKind.ODD, cov4.catalog)
 
 
 def double_covering(cov: Covering) -> Covering:
     """Take every member twice: an even covering of twice the size."""
     if cov.kind is not CoveringKind.PLAIN:
         raise NotACovering("doubling expects a plain covering")
-    return Covering.from_matchings(
-        cov.graph, cov.matchings * 2, CoveringKind.EVEN, cov.catalog
-    )
+    return Covering(cov.graph, cov.masks * 2, CoveringKind.EVEN, cov.catalog)
 
 
 def even_covering_from_four_covering(cov4: Covering) -> Covering:
     """Double a 4-covering: a size-8 even covering with multiplicities 2, 4."""
-    if cov4.size != 4:
-        raise NotSize4(f"need a 4-covering, got size {cov4.size}")
-    covering_multiplicities(cov4)  # validates plain 4-covering
-    doubled = double_covering(cov4)
-    assert set(doubled.multiplicities()) <= {2, 4}
-    return doubled
+    covering_multiplicities(cov4)  # NotSize4 unless a 4-covering
+    return double_covering(cov4)
 
 
 def _add_member(

@@ -222,15 +222,20 @@ class TwoFactor:
 
 
 def is_perfect_matching(g: CubicGraph, pm: EdgeSet) -> bool:
-    if pm.width != g.m or len(pm) != g.n // 2:
+    return pm.width == g.m and is_perfect_matching_mask(g, pm.bits)
+
+
+def is_perfect_matching_mask(g: CubicGraph, bits) -> bool:
+    """Whether an int edge mask holds n/2 edges reaching all n vertices."""
+    if type(bits) is not int or bits < 0 or bits >> g.m or bits.bit_count() != g.n // 2:
         return False
-    seen = 0
-    for e in pm:
-        u, v = g.endpoints(e)
-        if (seen >> u) & 1 or (seen >> v) & 1:
-            return False
-        seen |= (1 << u) | (1 << v)
-    return seen == (1 << g.n) - 1
+    reached = 0
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        u, v = g.edges[low.bit_length() - 1]
+        reached |= 1 << u | 1 << v
+    return reached == (1 << g.n) - 1
 
 
 def walk_cycles(
@@ -374,6 +379,8 @@ def is_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:
     Vertices of g are mapped in BFS-forest order: a tree child goes to an
     unused neighbour of its parent's image, a root to any unused vertex, and
     every step checks edge multiplicities against all vertices mapped so far.
+    The search keeps one candidate iterator per mapped vertex on an explicit
+    stack, so its depth is not bounded by the recursion limit.
     """
     if g.n != h.n or g.m != h.m:
         return False
@@ -382,31 +389,28 @@ def is_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:
     mapping = [-1] * g.n
     used = [False] * h.n
 
-    def extend(pos: int) -> bool:
-        if pos == len(order):
-            return True
+    def candidates(pos: int) -> Iterator[int]:
         v, via = order[pos]
-        if via == -1:
-            candidates = range(h.n)
-        else:
-            pv = mapping[g.other_end(via, v)]
-            candidates = [w for w in range(h.n) if ha[pv][w] and not used[w]]
-        for w in candidates:
-            if used[w]:
-                continue
-            row_v, row_w = ga[v], ha[w]
-            ok = True
-            for u2, pu in enumerate(mapping):
-                if pu != -1 and row_v[u2] != row_w[pu]:
-                    ok = False
-                    break
-            if ok:
+        row = ha[mapping[g.other_end(via, v)]] if via != -1 else None
+        return iter([w for w in range(h.n) if not used[w] and (row is None or row[w])])
+
+    stack = [candidates(0)]
+    while stack:
+        v = order[len(stack) - 1][0]
+        if mapping[v] != -1:  # back from the subtree of v's last image
+            used[mapping[v]] = False
+            mapping[v] = -1
+        row_v = ga[v]
+        for w in stack[-1]:
+            row_w = ha[w]
+            if all(pu == -1 or row_v[u2] == row_w[pu] for u2, pu in enumerate(mapping)):
                 mapping[v] = w
                 used[w] = True
-                if extend(pos + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    return extend(0)
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(order):
+            return True
+        stack.append(candidates(len(stack)))
+    return False

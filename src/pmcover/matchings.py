@@ -89,13 +89,6 @@ class PMCatalog:
         """The catalog index of each member's bitmask."""
         return {mask: i for i, mask in enumerate(self.masks)}
 
-    def index_of(self, pm: EdgeSet) -> int:
-        """Catalog index of a matching (ValueError if absent)."""
-        i = self.index_by_mask.get(pm.bits) if pm.width == self.graph.m else None
-        if i is None:
-            raise ValueError(f"{pm!r} is not in the catalog")
-        return i
-
     @cached_property
     def pair_stats(self) -> PairStats:
         """Extremes of the pair intersections and unions, lex-smallest witnesses.

@@ -229,18 +229,16 @@ def _check_tau4_structure(s: _Suite, g: CubicGraph, cat, witness: Covering, tag:
         f"{tag}.doubly-covered-is-pm",
         is_perfect_matching(g, report.doubly_covered),
     )
-    members = witness.members
-    pairwise = all(cat.masks[a] & cat.masks[b] for a, b in combinations(members, 2))
+    masks = witness.masks
+    pairwise = all(a & b for a, b in combinations(masks, 2))
     s.check(f"{tag}.pairwise-intersections-nonempty", pairwise)
-    triples_ok = True
-    for sub in combinations(sorted(members), 3):
-        if cat.masks[sub[0]] & cat.masks[sub[1]] & cat.masks[sub[2]]:
-            triples_ok = False
-            break
-        structure = fr_structure(g, cat, sub)  # asserts alternation internally
-        if any(len(c) % 2 for c in structure.alternating_cycles):
-            triples_ok = False
-            break
+    triples_ok = not any(a & b & c for a, b, c in combinations(masks, 3))
+    # fr_structure asserts alternation internally
+    triples_ok = triples_ok and all(
+        len(c) % 2 == 0
+        for sub in combinations(witness.members, 3)
+        for c in fr_structure(g, cat, sub).alternating_cycles
+    )
     s.check(f"{tag}.witness-3-subsets-are-fr-triples", triples_ok)
     stats = pm_pair_stats(cat)
     s.check(

@@ -4,7 +4,7 @@ import signal
 import threading
 import time
 from functools import partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -12,6 +12,7 @@ from pmcover.compositions import k4_composition, tau5odd_example, three_cut_join
 from pmcover.errors import (
     CatalogError,
     CatalogMismatch,
+    CoveringError,
     DeadlineExceeded,
     InvalidParams,
     NotACovering,
@@ -33,7 +34,7 @@ from pmcover.generators import (
 )
 from pmcover.gf2 import gf2_in_span, gf2_signed_weights
 from pmcover.graphs import EdgeSet, find_bridges, is_perfect_matching
-from pmcover.matchings import enumerate_perfect_matchings
+from pmcover.matchings import PMCatalog, enumerate_perfect_matchings
 from pmcover.coverings import (
     Covering,
     CoveringKind,
@@ -522,10 +523,13 @@ class TestMultiplicities:
             )
 
     def test_non_covering_rejected(self):
+        # no Covering that covering_multiplicities could be handed is a
+        # non-covering: construction rejects it, with EdgeSets for members too
         g, cat = catalog_of(petersen())
-        bad = Covering(g, tuple(cat.matchings[:4]), CoveringKind.PLAIN, cat, (0, 1, 2, 3))
         with pytest.raises(NotACovering):
-            covering_multiplicities(bad)
+            Covering(g, cat.masks[:4], CoveringKind.PLAIN, cat)
+        with pytest.raises(NotACovering):
+            Covering(g, tuple(cat.matchings[:4]), CoveringKind.PLAIN, cat)
 
 
 class TestFRTriples:
@@ -593,6 +597,12 @@ class TestFRTriples:
         g, cat = catalog_of(k4())
         with pytest.raises(NotFRTriple, match="distinct"):
             fr_structure(g, cat, (0, 0, 1))
+
+    @pytest.mark.parametrize("triple", [(0, 1), (0, 1, 2, 3)], ids=["pair", "four"])
+    def test_rejects_a_triple_of_the_wrong_length(self, triple):
+        g, cat = catalog_of(petersen())
+        with pytest.raises(NotFRTriple, match="3 distinct members"):
+            fr_structure(g, cat, triple)
 
     @pytest.mark.parametrize("triple,bad", [((-1, 0, 1), -1), ((0, 1, 3), 3)])
     def test_rejects_an_index_outside_the_catalog(self, triple, bad):
@@ -845,7 +855,7 @@ class TestDerivedCoverings:
         doubly = covering_multiplicities(cov4).doubly_covered
         odd5 = odd_covering_from_four_covering(cov4)
         even8 = double_covering(cov4)
-        assert odd5.members == tuple(sorted(cov4.members + (cat.index_of(doubly),)))
+        assert odd5.members == tuple(sorted(cov4.members + (cat.index_by_mask[doubly.bits],)))
         assert even8.members == tuple(sorted(cov4.members * 2))
         for cov in (odd5, even8):
             assert cov.catalog is cat
@@ -1116,34 +1126,38 @@ class TestAnalyze:
             analyze_graph(petersen(), deadline=math.nan)
 
 
+def tau_witness(graph):
+    """The graph and the lex-first minimum covering that covering_number finds."""
+    g, cat = catalog_of(graph)
+    return g, covering_number(g, cat, cap=6).witness
+
+
+def goldberg_four_covering():
+    """Goldberg 5 and the 4-covering built from its good pairs."""
+    from pmcover.constructions import (
+        four_covering_from_good_pairs,
+        pair_odd_cycles,
+    )
+    from pmcover.generators import goldberg_proof_cycles, two_factor_from_cycles
+
+    g = goldberg_graph(5)
+    tf = two_factor_from_cycles(g, goldberg_proof_cycles(5))
+    certs = pair_odd_cycles(g, tf)
+    return g, four_covering_from_good_pairs(g, tf, certs)
+
+
 class TestCatalogFreeCoverings:
     """Constructive coverings at sizes where full enumeration is avoided."""
 
-    def _goldberg_four_covering(self):
-        from pmcover.constructions import (
-            four_covering_from_good_pairs,
-            pair_odd_cycles,
-        )
-        from pmcover.generators import (
-            goldberg_graph,
-            goldberg_proof_cycles,
-            two_factor_from_cycles,
-        )
-
-        g = goldberg_graph(5)
-        tf = two_factor_from_cycles(g, goldberg_proof_cycles(5))
-        certs = pair_odd_cycles(g, tf)
-        return g, four_covering_from_good_pairs(g, tf, certs)
-
     def test_odd_5_covering_from_goldberg(self):
-        g, cov4 = self._goldberg_four_covering()
+        g, cov4 = goldberg_four_covering()
         assert cov4.catalog is None
         odd5 = odd_covering_from_four_covering(cov4)
         assert odd5.size == 5
         assert set(odd5.multiplicities()) <= {1, 3}
 
     def test_even_8_covering_from_goldberg(self):
-        g, cov4 = self._goldberg_four_covering()
+        g, cov4 = goldberg_four_covering()
         even8 = even_covering_from_four_covering(cov4)
         assert even8.size == 8
         assert set(even8.multiplicities()) <= {2, 4}
@@ -1292,15 +1306,11 @@ class TestKindValidation:
 
     def test_even_rejects_odd_multiplicities(self):
         g, cat = catalog_of(k4())
-        from pmcover.errors import CoveringError
-
         with pytest.raises(CoveringError):
             Covering.from_indices(cat, (0, 1, 2), CoveringKind.EVEN)
 
     def test_fulkerson_rejects_wrong_size(self):
         g, cat = catalog_of(petersen())
-        from pmcover.errors import CoveringError
-
         with pytest.raises(CoveringError):
             Covering.from_indices(cat, (0, 1, 2, 3, 4), CoveringKind.FULKERSON)
 
@@ -1322,12 +1332,84 @@ class TestKindValidation:
         with pytest.raises(CatalogError, match=f"index {bad} .* of 3"):
             Covering.from_indices(cat, indices, CoveringKind.PLAIN)
 
+    def test_member_outside_the_catalog_rejected(self):
+        g, cat = catalog_of(k4())
+        with pytest.raises(CatalogError, match="not in the catalog"):
+            Covering(g, cat.masks, CoveringKind.PLAIN, PMCatalog(g, cat.masks[1:]))
+        with pytest.raises(CatalogMismatch):
+            Covering(g, cat.masks, CoveringKind.PLAIN, catalog_of(theta())[1])
+
     def test_non_matching_member_rejected(self):
         g = petersen()
         with pytest.raises(NotACovering):
-            Covering.from_matchings(
-                g, [g.edge_set([0, 1, 2, 3, 4])], CoveringKind.PLAIN
-            )
+            Covering(g, (g.edge_set([0, 1, 2, 3, 4]).bits,), CoveringKind.PLAIN)
+
+
+KIND_ERRORS = {
+    CoveringKind.PLAIN: NotACovering,
+    CoveringKind.ODD: NotOdd,
+    CoveringKind.EVEN: CoveringError,
+    CoveringKind.FULKERSON: CoveringError,
+}
+
+
+def kind_by_multiplicities(m, masks, kind):
+    """Whether these members form a covering of that kind, edge by edge."""
+    mults = [sum(mask >> e & 1 for mask in masks) for e in range(m)]
+    if kind is CoveringKind.PLAIN:
+        return min(mults) >= 1
+    if kind is CoveringKind.ODD:
+        return all(c % 2 == 1 for c in mults)
+    if kind is CoveringKind.EVEN:
+        return all(c % 2 == 0 and c >= 2 for c in mults)
+    return len(masks) == 6 and all(c == 2 for c in mults)
+
+
+def check_kinds(cat, indices, seen):
+    """from_indices accepts each kind exactly when the multiplicities do."""
+    masks = [cat.masks[i] for i in indices]
+    for kind, error in KIND_ERRORS.items():
+        accepted = kind_by_multiplicities(cat.graph.m, masks, kind)
+        seen.add((kind, accepted))
+        if accepted:
+            cov = Covering.from_indices(cat, indices, kind)
+            assert cov.members == tuple(sorted(indices))
+        else:
+            with pytest.raises(CoveringError) as info:
+                Covering.from_indices(cat, indices, kind)
+            assert type(info.value) is error
+
+
+class TestKindByMaskAlgebra:
+    """The OR/XOR kind check agrees with per-edge multiplicities."""
+
+    @pytest.mark.parametrize(
+        "make,odd_exists", [(k4, True), (petersen, False)], ids=["k4", "petersen"]
+    )
+    def test_every_multiset_up_to_six(self, make, odd_exists):
+        _, cat = catalog_of(make())
+        seen = set()
+        for size in range(1, 7):
+            for indices in combinations_with_replacement(range(cat.count), size):
+                check_kinds(cat, indices, seen)
+        # every kind is met both ways, bar the odd coverings Petersen lacks
+        expected = {(kind, ok) for kind in KIND_ERRORS for ok in (True, False)}
+        if not odd_exists:
+            expected.remove((CoveringKind.ODD, True))
+        assert seen == expected
+
+    @pytest.mark.parametrize(
+        "make", [lambda: blanusa(1), lambda: random_bridgeless_cubic(12, 0)],
+        ids=["blanusa1", "random:12:0"],
+    )
+    def test_random_multisets(self, make):
+        _, cat = catalog_of(make())
+        rng = random.Random(30)
+        seen = set()
+        for _ in range(500):
+            size = rng.randint(1, 6)
+            check_kinds(cat, [rng.randrange(cat.count) for _ in range(size)], seen)
+        assert {(CoveringKind.PLAIN, True), (CoveringKind.PLAIN, False)} <= seen
 
 
 def test_example_graph_satisfies_fan_raspaud_with_k_3():
@@ -1418,4 +1500,24 @@ class TestSingleRepresentation:
             fr_structure(g, cat, triples[0])
         assert "matchings" not in vars(cat)
         for cov in filter(None, witnesses):
-            assert cov.matchings == tuple(EdgeSet(g.m, cat.masks[i]) for i in cov.members)
+            assert "matchings" not in vars(cov)
+            assert cov.masks == tuple(cat.masks[i] for i in cov.members)
+            assert cov.matchings == tuple(EdgeSet(g.m, mask) for mask in cov.masks)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: tau_witness(blanusa(1)), lambda: tau_witness(flower_snark(5)),
+         goldberg_four_covering],
+        ids=["blanusa1", "flower5", "goldberg5-good-pairs"],
+    )
+    def test_derived_coverings_build_no_matchings_view(self, make):
+        g, cov4 = make()
+        odd5 = odd_covering_from_four_covering(cov4)
+        even8 = even_covering_from_four_covering(cov4)
+        for cov in (cov4, odd5, even8):
+            assert "matchings" not in vars(cov)
+            assert cov.catalog is cov4.catalog
+        assert odd5.masks == tuple(
+            sorted(cov4.masks + (covering_multiplicities(cov4).doubly_covered.bits,))
+        )
+        assert even8.masks == tuple(sorted(cov4.masks * 2))

@@ -19,6 +19,7 @@ from pmcover.graphs import (
     find_bridges,
     is_isomorphic,
     is_perfect_matching,
+    is_perfect_matching_mask,
     two_factor_of,
 )
 
@@ -353,6 +354,22 @@ class TestIsomorphism:
         doubled = CubicGraph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)])
         assert not is_isomorphic(doubled, k4())
 
+    def test_deep_search_is_not_bounded_by_the_recursion_limit(self):
+        # prism(600) maps 1200 vertices, past the default limit of 1000
+        g = prism(600)
+        perm = list(range(g.n))
+        random.Random(600).shuffle(perm)
+        h = CubicGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        assert is_isomorphic(g, h)
+
+    def test_relabeled_petersen_vs_prism(self):
+        g = petersen()
+        perm = list(range(g.n))
+        random.Random(5).shuffle(perm)
+        h = CubicGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        assert is_isomorphic(g, h)
+        assert not is_isomorphic(h, prism(5))
+
     def test_disconnected_graphs(self):
         two_k4 = disjoint_union(k4(), k4())
         perm = [5, 2, 7, 0, 4, 1, 6, 3]
@@ -385,6 +402,18 @@ def test_is_perfect_matching_rejects_wrong_sizes():
     assert not is_perfect_matching(g, g.edge_set([0]))
     spokes = [e for e, (u, v) in enumerate(g.edges) if (u < 5) != (v < 5)]
     assert is_perfect_matching(g, g.edge_set(spokes))
+
+
+def test_is_perfect_matching_mask_takes_only_ints_of_the_graph():
+    g = petersen()
+    spokes = g.edge_set(e for e, (u, v) in enumerate(g.edges) if (u < 5) != (v < 5))
+    assert is_perfect_matching_mask(g, spokes.bits)
+    # an EdgeSet, a bool, a negative int and a mask past edge m - 1 are not
+    for bits in (spokes, True, -spokes.bits, spokes.bits << g.m):
+        assert not is_perfect_matching_mask(g, bits)
+    # the first three of five edges meet at vertex 0
+    assert not is_perfect_matching_mask(g, g.edge_set(range(5)).bits)
+    assert not is_perfect_matching(g, EdgeSet(g.m + 1, spokes.bits))
 
 
 def test_two_factor_orientation_convention_on_random_graphs():

@@ -184,14 +184,12 @@ def test_pair_stats_view_matches_a_full_pair_scan():
         assert cat.pair_stats.max_union == g.n - best
 
 
-def test_index_of_finds_every_member_and_nothing_else():
+def test_index_by_mask_finds_every_member_and_nothing_else():
     g = flower_snark(5)
     cat = enumerate_perfect_matchings(g)
-    assert [cat.index_of(pm) for pm in cat.matchings] == list(range(cat.count))
-    with pytest.raises(ValueError):
-        cat.index_of(EdgeSet(g.m, 0b111))
-    with pytest.raises(ValueError):
-        cat.index_of(EdgeSet(g.m + 1, cat.masks[0]))
+    assert [cat.index_by_mask[mask] for mask in cat.masks] == list(range(cat.count))
+    assert len(cat.index_by_mask) == cat.count
+    assert 0b111 not in cat.index_by_mask
 
 
 def test_kkn_union_bound_on_random_bridgeless_graphs():
