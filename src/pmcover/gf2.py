@@ -31,12 +31,6 @@ def gf2_transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(int(bits[width - 1 - i :: width] or "0", 2) for i in range(width))
 
 
-def gf2_in_span(rows: Iterable[int], vec: int) -> bool:
-    """Whether `vec` lies in the GF(2) span of `rows`."""
-    *_, (_, reduced) = _reduced_rows([*rows, vec])
-    return reduced == 0
-
-
 def gf2_row_reduction(rows: Iterable[int]) -> tuple[tuple[int, ...], bool]:
     """The rows independent of the rows before them, and whether the all-ones
     vector (one bit per row) lies in the column span.

@@ -97,21 +97,46 @@ class PMCatalog:
         the pair of least intersection is also the pair of largest union.
         The first disjoint pair ends the scan: no pair can beat it, and every
         earlier pair comes first in lex order.
+
+        Once some pair meets in one edge, only a disjoint pair can win, so a
+        later row i is decided by one fold over the edge rows: the members
+        meeting member i are the OR of the rows of its n/2 edges, and the
+        lowest member past i outside that OR is its lex-first disjoint
+        partner.  A row is folded while more than n members follow it (the
+        pair loop is faster on shorter rows).  On a bridgeless cubic graph
+        b = 0 iff the graph is 3-edge-colourable, so on a snark no pair is
+        disjoint and the pair loop alone would visit all c^2/2 pairs; with
+        b = 1, as on the Petersen, flower, Goldberg and Blanuša snarks, it
+        stops after the row that found b = 1, up to the last n rows.
+        Catalogs with b >= 2 keep the pair loop.
         """
         if self.count < 2:
             raise FewerThanTwoMatchings("need at least two perfect matchings")
         masks = self.masks
-        best = self.graph.n  # above any intersection, which has <= n/2 edges
+        c, n = len(masks), self.graph.n
+        best = n  # above any intersection, which has <= n/2 edges
         best_pair = (0, 1)
         for i, mi in enumerate(masks):
-            for j in range(i + 1, len(masks)):
+            if best == 1 and c - 1 - i > n:
+                rows = self.edge_rows
+                meet = 0
+                while mi:
+                    low = mi & -mi
+                    meet |= rows[low.bit_length() - 1]
+                    mi ^= low
+                free = (((1 << c) - 1) & ~meet) >> (i + 1)
+                if free:
+                    j = i + (free & -free).bit_length()
+                    return PairStats(0, (i, j), n)
+                continue
+            for j in range(i + 1, c):
                 inter = (mi & masks[j]).bit_count()
                 if inter < best:
                     best = inter
                     best_pair = (i, j)
                     if inter == 0:
-                        return PairStats(0, best_pair, self.graph.n)
-        return PairStats(best, best_pair, self.graph.n - best)
+                        return PairStats(0, best_pair, n)
+        return PairStats(best, best_pair, n - best)
 
 
 def check_catalog(g: CubicGraph, catalog: PMCatalog) -> None:

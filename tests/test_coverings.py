@@ -32,7 +32,7 @@ from pmcover.generators import (
     random_bridgeless_cubic,
     theta,
 )
-from pmcover.gf2 import gf2_in_span, gf2_signed_weights
+from pmcover.gf2 import gf2_signed_weights
 from pmcover.graphs import EdgeSet, find_bridges, is_perfect_matching
 from pmcover.matchings import PMCatalog, enumerate_perfect_matchings
 from pmcover.coverings import (
@@ -240,6 +240,20 @@ def signed_weights_by_subsets(rows, width):
                 total ^= row
         signed[total.bit_count()] += -1 if u.bit_count() % 2 else 1
     return tuple((w, d) for w, d in enumerate(signed) if d)
+
+
+def gf2_in_span(rows, vec):
+    """Whether `vec` lies in the GF(2) span of `rows`, by elimination on
+    leading bits: the reference for the span tests of the solvers."""
+    pivots = {}  # leading bit -> a kept row with that leading bit
+    for row in rows:
+        while row and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if row:
+            pivots[row.bit_length()] = row
+    while vec and vec.bit_length() in pivots:
+        vec ^= pivots[vec.bit_length()]
+    return vec == 0
 
 
 # analyze_graph reports on two of the paper's tau = 5 instances

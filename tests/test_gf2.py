@@ -24,14 +24,13 @@ from pmcover.generators import (
 )
 from pmcover.gf2 import (
     gf2_all_ones_subset_counts,
-    gf2_in_span,
     gf2_row_reduction,
     gf2_signed_weights,
     gf2_transpose,
 )
 from pmcover.matchings import enumerate_perfect_matchings
 
-from test_coverings import k4_of, signed_weights_by_subsets
+from test_coverings import gf2_in_span, k4_of, signed_weights_by_subsets
 from test_graphs import bridged_double_k4
 from test_matchings import matching_free_cubic
 

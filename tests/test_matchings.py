@@ -5,11 +5,12 @@ from itertools import combinations
 import pytest
 
 from pmcover import verify
-from pmcover.compositions import tau5odd_example
+from pmcover.compositions import k4_composition, tau5odd_example
 from pmcover.errors import CatalogError, FewerThanTwoMatchings, TooManyMatchings
 from pmcover.generators import (
     blanusa,
     flower_snark,
+    generalized_blanusa,
     goldberg_graph,
     k4,
     k33,
@@ -18,8 +19,9 @@ from pmcover.generators import (
     random_bridgeless_cubic,
     theta,
 )
-from pmcover.graphs import EdgeSet, is_perfect_matching
+from pmcover.graphs import CubicGraph, EdgeSet, is_perfect_matching
 from pmcover.matchings import (
+    PairStats,
     PMCatalog,
     enumerate_perfect_matchings,
     matching_line,
@@ -166,11 +168,37 @@ def test_pair_stats_needs_two():
     assert cat.count == 0
     with pytest.raises(FewerThanTwoMatchings):
         pm_pair_stats(cat)
+    one = PMCatalog(k4(), enumerate_perfect_matchings(k4()).masks[:1])
+    with pytest.raises(FewerThanTwoMatchings):
+        one.pair_stats
+
+
+def pair_loop_stats(cat):
+    """PairStats by the plain pair loop over every i < j, the reference
+    for ``PMCatalog.pair_stats``, which folds edge rows once b = 1 is seen."""
+    if cat.count < 2:
+        raise FewerThanTwoMatchings("need at least two perfect matchings")
+    masks, n = cat.masks, cat.graph.n
+    best, best_pair = n, (0, 1)
+    for i, mi in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            inter = (mi & masks[j]).bit_count()
+            if inter < best:
+                best, best_pair = inter, (i, j)
+                if inter == 0:
+                    return PairStats(0, best_pair, n)
+    return PairStats(best, best_pair, n - best)
+
+
+def relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return CubicGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def test_pair_stats_view_matches_a_full_pair_scan():
-    for i in range(50):
-        g = random_bridgeless_cubic((10, 12, 14, 16, 18)[i % 5], 700 + i)
+    for i in range(55):
+        g = random_bridgeless_cubic(10 + 2 * (i % 11), 700 + i)  # n = 10..30
         cat = enumerate_perfect_matchings(g)
         inter = {
             (a, b): (cat.masks[a] & cat.masks[b]).bit_count()
@@ -178,10 +206,96 @@ def test_pair_stats_view_matches_a_full_pair_scan():
         }
         best = min(inter.values())
         pair = min(p for p, c in inter.items() if c == best)
-        assert cat.pair_stats == pm_pair_stats(cat)
+        assert cat.pair_stats == pm_pair_stats(cat) == pair_loop_stats(cat)
         assert cat.pair_stats.min_intersection == best
         assert cat.pair_stats.argmin == pair
         assert cat.pair_stats.max_union == g.n - best
+
+
+SCAN_CORPUS_SNARKS = {
+    "petersen": petersen,
+    "blanusa1": lambda: blanusa(1),
+    "blanusa2": lambda: blanusa(2),
+    "flower5": lambda: flower_snark(5),
+    "flower7": lambda: flower_snark(7),
+    "goldberg5": lambda: goldberg_graph(5),
+    "gblanusa1-3": lambda: generalized_blanusa(1, 3),
+}
+
+
+@pytest.mark.parametrize(
+    "make", SCAN_CORPUS_SNARKS.values(), ids=SCAN_CORPUS_SNARKS.keys()
+)
+def test_pair_stats_equal_the_pair_loop_on_snarks_and_relabellings(make):
+    g = make()
+    for h in (g, relabelled(g, 1), relabelled(g, 2)):
+        cat = enumerate_perfect_matchings(h)
+        assert cat.pair_stats.min_intersection == 1  # snarks: b > 0
+        assert cat.pair_stats == pair_loop_stats(cat)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        tau5odd_example,
+        lambda: k4_composition([(petersen(), 0), (petersen(), 0), (k33(), 0), (k33(), 0)]),
+        lambda: k4_composition([(petersen(), 0), (petersen(), 0), (prism(4), 0), (k33(), 0)]),
+        lambda: k4_composition([(petersen(), 0), (petersen(), 0), (petersen(), 0), (theta(), 0)]),
+        lambda: flower_snark(9),
+        lambda: flower_snark(11),
+    ],
+    ids=["tau5odd", "K4(P,P,K33,K33)", "K4(P,P,prism4,K33)", "K4(P,P,P,theta)",
+         "flower9", "flower11"],
+)
+def test_pair_stats_equal_the_pair_loop_on_tau5_and_large_snarks(make):
+    cat = enumerate_perfect_matchings(make())
+    assert cat.pair_stats == pair_loop_stats(cat)
+
+
+def test_b2_catalog_never_folds():
+    # K4(P,P,P,theta): b = 2, so the pair loop runs to its end
+    g = k4_composition([(petersen(), 0), (petersen(), 0), (petersen(), 0), (theta(), 0)])
+    cat = enumerate_perfect_matchings(g)
+    assert cat.pair_stats == PairStats(2, (0, 38), 26)
+    assert "edge_rows" not in vars(cat)
+
+
+def test_lex_first_disjoint_pair_found_in_a_folded_row():
+    # 3-edge-colourable, 19 matchings on n = 14: row 0 meets row 9 in one
+    # edge and has no disjoint partner, so row 1 (17 members follow, more
+    # than n) is folded and holds the lex-first disjoint pair
+    g = random_bridgeless_cubic(14, 124)
+    cat = enumerate_perfect_matchings(g)
+    assert min((cat.masks[0] & mask).bit_count() for mask in cat.masks[1:]) == 1
+    assert cat.pair_stats == pair_loop_stats(cat) == PairStats(0, (1, 9), 14)
+    assert "edge_rows" in vars(cat)
+
+
+@pytest.mark.parametrize("following,folds", [(14, False), (15, True)])
+def test_a_colourable_sub_catalog_at_the_fold_boundary(following, folds):
+    # drop members from the end of random:14:124's catalog, keeping its
+    # disjoint pair (1, 9), until row 1 has n (pair loop) or n + 1 (fold)
+    # members after it
+    g = random_bridgeless_cubic(14, 124)
+    full = enumerate_perfect_matchings(g)
+    cat = PMCatalog(g, full.masks[: 2 + following])
+    assert cat.count - 1 - 1 == following and g.n == 14
+    assert cat.pair_stats == pair_loop_stats(cat) == PairStats(0, (1, 9), 14)
+    assert ("edge_rows" in vars(cat)) == folds
+
+
+@pytest.mark.parametrize("following,folds", [(40, False), (41, True)])
+def test_a_snark_sub_catalog_at_the_fold_boundary(following, folds):
+    # goldberg 5 (n = 40) has b = 1 and no disjoint pair: members 0 and 249
+    # meet in one edge, so row 1 of this sub-catalog is folded only when
+    # more than n members follow it, and every folded row comes up empty
+    g = goldberg_graph(5)
+    full = enumerate_perfect_matchings(g)
+    masks = full.masks
+    cat = PMCatalog(g, (masks[0], masks[249]) + masks[1 : 1 + following])
+    assert cat.count - 1 - 1 == following
+    assert cat.pair_stats == pair_loop_stats(cat) == PairStats(1, (0, 1), 39)
+    assert ("edge_rows" in vars(cat)) == folds
 
 
 def test_index_by_mask_finds_every_member_and_nothing_else():
