@@ -63,7 +63,6 @@ from .graphs import (
     TwoFactor,
     cyclic_connectivity_at_least,
     find_bridges,
-    is_isomorphic,
     is_perfect_matching,
     two_factor_of,
 )

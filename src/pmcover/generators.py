@@ -21,7 +21,6 @@ from .graphs import (
     TwoFactor,
     edges_joining,
     find_bridges,
-    is_isomorphic,
     is_perfect_matching,
     two_factor_of,
 )
@@ -279,4 +278,14 @@ def random_bridgeless_cubic(n: int, seed: int = 0) -> CubicGraph:
 
 
 def is_petersen(g: CubicGraph) -> bool:
-    return is_isomorphic(g, petersen())
+    """Whether g is the Petersen graph up to relabelling.
+
+    It is the only cubic graph on 10 vertices in which every vertex has all
+    10 within distance 2: such a graph meets the Moore bound 1 + 3 + 6, and
+    for degree 3 the Moore graph is unique (Hoffman and Singleton, 1960).
+    A parallel edge or a second component leaves some vertex short.
+    """
+    if g.n != 10:
+        return False
+    near = [{g.other_end(e, v) for e in g.incidence[v]} for v in range(g.n)]
+    return all(len(nbrs.union(*(near[u] for u in nbrs))) == 10 for nbrs in near)

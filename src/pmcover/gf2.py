@@ -3,25 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
-
-
-def _reduced_rows(rows: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """Each row with its reduction by the span of the rows before it.
-
-    The basis kept is row-reduced (distinct leading bits, descending), so
-    reducing a vector by it is one ``min`` step per basis row; a row is in
-    the span of the rows before it iff it reduces to 0.
-    """
-    basis: list[int] = []
-    for row in rows:
-        reduced = row
-        for b in basis:
-            reduced = min(reduced, reduced ^ b)
-        yield row, reduced
-        if reduced:
-            basis.append(reduced)
-            basis.sort(reverse=True)
+from typing import Iterable, Sequence
 
 
 def gf2_transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
@@ -40,14 +22,25 @@ def gf2_row_reduction(rows: Iterable[int]) -> tuple[tuple[int, ...], bool]:
     the tagged rows ``row << 1 | 1`` settles both: a tagged row that does
     not reduce to 0 or 1 is independent, and one that reduces to exactly 1
     sums with an even number of earlier rows to 0, an odd dependency.
+
+    Every tagged row that does not reduce to 0 joins the basis, which is
+    kept row-reduced (distinct leading bits, descending), so reducing a
+    vector by it is one ``min`` step per basis row.
     """
+    basis: list[int] = []
     independent: list[int] = []
     ones_in_span = True
-    for tagged, reduced in _reduced_rows(row << 1 | 1 for row in rows):
+    for row in rows:
+        reduced = row << 1 | 1
+        for b in basis:
+            reduced = min(reduced, reduced ^ b)
         if reduced > 1:
-            independent.append(tagged >> 1)
+            independent.append(row)
         elif reduced:
             ones_in_span = False
+        if reduced:
+            basis.append(reduced)
+            basis.sort(reverse=True)
     return tuple(independent), ones_in_span
 
 

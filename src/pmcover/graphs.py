@@ -20,9 +20,8 @@ alternating cycles of a Fan-Raspaud triple) come from one walker,
 ``edges_joining``.
 
 Every traversal walks one BFS forest (``_bfs_forest``): connectivity counts
-its roots, isomorphism maps vertices in its order, and bridges and cyclic
-connectivity read cuts off the cycle-space signatures of its edges
-(``_cut_signatures``).
+its roots, and bridges and cyclic connectivity read cuts off the
+cycle-space signatures of its edges (``_cut_signatures``).
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ class EdgeSet:
 class CubicGraph:
     """Immutable 3-regular multigraph with canonically ordered edges."""
 
-    __slots__ = ("n", "edges", "incidence", "_adj")
+    __slots__ = ("n", "edges", "incidence")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n <= 0 or n % 2:
@@ -131,7 +130,6 @@ class CubicGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edge_tuple)
         object.__setattr__(self, "incidence", tuple(tuple(i) for i in incidence))
-        object.__setattr__(self, "_adj", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicGraph is immutable")
@@ -163,16 +161,12 @@ class CubicGraph:
         return all(a != b for a, b in zip(self.edges, self.edges[1:]))
 
     def adjacency_counts(self) -> tuple[tuple[int, ...], ...]:
-        """n x n matrix of edge multiplicities (cached)."""
-        cached = self._adj
-        if cached is None:
-            counts = [[0] * self.n for _ in range(self.n)]
-            for u, v in self.edges:
-                counts[u][v] += 1
-                counts[v][u] += 1
-            cached = tuple(tuple(row) for row in counts)
-            object.__setattr__(self, "_adj", cached)
-        return cached
+        """n x n matrix of edge multiplicities."""
+        counts = [[0] * self.n for _ in range(self.n)]
+        for u, v in self.edges:
+            counts[u][v] += 1
+            counts[v][u] += 1
+        return tuple(tuple(row) for row in counts)
 
     def edge_set(self, indices: Iterable[int]) -> EdgeSet:
         return EdgeSet.from_indices(self.m, indices)
@@ -371,46 +365,3 @@ def cyclic_connectivity_at_least(g: CubicGraph, k: int) -> bool:
             ):
                 return False
     return True
-
-
-def is_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:
-    """Exact isomorphism test by backtracking (intended for n <= 24).
-
-    Vertices of g are mapped in BFS-forest order: a tree child goes to an
-    unused neighbour of its parent's image, a root to any unused vertex, and
-    every step checks edge multiplicities against all vertices mapped so far.
-    The search keeps one candidate iterator per mapped vertex on an explicit
-    stack, so its depth is not bounded by the recursion limit.
-    """
-    if g.n != h.n or g.m != h.m:
-        return False
-    ga, ha = g.adjacency_counts(), h.adjacency_counts()
-    order = list(_bfs_forest(g))
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def candidates(pos: int) -> Iterator[int]:
-        v, via = order[pos]
-        row = ha[mapping[g.other_end(via, v)]] if via != -1 else None
-        return iter([w for w in range(h.n) if not used[w] and (row is None or row[w])])
-
-    stack = [candidates(0)]
-    while stack:
-        v = order[len(stack) - 1][0]
-        if mapping[v] != -1:  # back from the subtree of v's last image
-            used[mapping[v]] = False
-            mapping[v] = -1
-        row_v = ga[v]
-        for w in stack[-1]:
-            row_w = ha[w]
-            if all(pu == -1 or row_v[u2] == row_w[pu] for u2, pu in enumerate(mapping)):
-                mapping[v] = w
-                used[w] = True
-                break
-        else:
-            stack.pop()
-            continue
-        if len(stack) == len(order):
-            return True
-        stack.append(candidates(len(stack)))
-    return False

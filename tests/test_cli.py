@@ -1,8 +1,11 @@
 import inspect
 import json
 import math
+import os
 import signal
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from pmcover.coverings import analyze_graph
 import pmcover.scan
 from pmcover.generators import petersen, prism, random_bridgeless_cubic
 from pmcover.graph6 import parse_graph6, to_graph6
+from pmcover.graphs import CubicGraph
 from pmcover.scan import ScanRecord, run_scan
 
 
@@ -25,6 +29,17 @@ def test_gen_graph6_round_trips(capsys):
     code, out, _ = run(capsys, "gen", "petersen", "--g6")
     assert code == 0
     assert parse_graph6(out.strip()) == petersen()
+
+
+def test_package_runs_as_a_module():
+    src = Path(__file__).parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "pmcover", "gen", "petersen", "--g6"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "IheA@GUAo\n"
 
 
 def test_gen_with_params(capsys):
@@ -154,6 +169,19 @@ def test_scan_and_resume(tmp_path, capsys):
     again = run_scan(corpus, out_file, cap=6, odd_cap=7, timeout_s=None)
     assert again.processed == 0 and again.skipped == 2
     assert len(out_file.read_text().splitlines()) == 2
+
+
+def test_scan_knows_a_relabelled_petersen(tmp_path):
+    perm = [3, 8, 0, 6, 1, 9, 4, 2, 7, 5]
+    g = CubicGraph(10, [(perm[u], perm[v]) for u, v in petersen().edges])
+    line = to_graph6(g)
+    assert line != to_graph6(petersen())
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(line + "\n")
+    summary = run_scan(corpus, tmp_path / "records.jsonl", cap=6, odd_cap=7,
+                       timeout_s=None)
+    assert summary.known_petersen == [line]
+    assert summary.problem_candidates == []
 
 
 def test_scan_resume_redoes_an_unterminated_last_line(tmp_path):

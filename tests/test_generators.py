@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from pmcover.cli import GENERATORS, _generate
@@ -9,6 +11,7 @@ from pmcover.errors import (
     UnknownName,
 )
 from pmcover.generators import (
+    PETERSEN_EDGES,
     blanusa,
     flower_proof_cycles,
     flower_snark,
@@ -26,9 +29,12 @@ from pmcover.generators import (
     two_factor_from_cycles,
 )
 from pmcover.graph6 import to_graph6
-from pmcover.graphs import find_bridges, is_isomorphic, is_perfect_matching
+from pmcover.graphs import CubicGraph, find_bridges, is_perfect_matching
 from pmcover.matchings import enumerate_perfect_matchings
 from pmcover.coverings import covering_number
+
+from isomorphism import is_isomorphic
+from test_graphs import disjoint_union
 
 
 def girth(g):
@@ -195,6 +201,39 @@ class TestPermutationGraphs:
     def test_non_permutation_rejected(self):
         with pytest.raises(InvalidParams):
             permutation_graph([0, 0, 1])
+
+
+def is_petersen_case(case):
+    """The graphs of one named case of the is_petersen check."""
+    kind, size = case.rsplit("-", 1)
+    size = int(size)
+    if kind == "rings":
+        return [permutation_graph(sigma) for sigma in permutations(range(size))]
+    if kind == "random":
+        return [random_bridgeless_cubic(size, seed) for seed in range(100)]
+    # 10 vertices, none Petersen: two components, a parallel edge (Petersen
+    # with 0-1 and 5-7 switched to a second 0-5 and 1-7), the pentagonal prism
+    switched = set(PETERSEN_EDGES) - {(0, 1), (5, 7)}
+    return [
+        disjoint_union(k4(), prism(3)),
+        CubicGraph(10, [*switched, (0, 5), (1, 7)]),
+        prism(5),
+    ]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["rings-3", "rings-4", "rings-5", "rings-6", "random-10", "random-12",
+     "not-petersen-10"],
+)
+def test_is_petersen_agrees_with_the_isomorphism_reference(case):
+    graphs = is_petersen_case(case)
+    hits = [is_petersen(g) for g in graphs]
+    assert hits == [is_isomorphic(g, petersen()) for g in graphs]
+    if case == "rings-5":
+        assert any(hits)
+    if case == "not-petersen-10":
+        assert not any(hits)
 
 
 class TestRandomCubic:

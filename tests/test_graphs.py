@@ -17,11 +17,12 @@ from pmcover.graphs import (
     EdgeSet,
     cyclic_connectivity_at_least,
     find_bridges,
-    is_isomorphic,
     is_perfect_matching,
     is_perfect_matching_mask,
     two_factor_of,
 )
+
+from isomorphism import is_isomorphic
 
 
 def crossing_edges(g, lo, hi):
