@@ -314,7 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout-s", type=float, default=DEFAULT_TIMEOUT_S,
         help="time limit per graph in seconds; 0 or inf means no limit",
     )
-    scan_args.add_argument("--jobs", type=int, default=1, help="worker processes")
+    scan_args.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes; with more than 1, graphs go to them in "
+        "batches of ceil(graphs / (4 x workers)), at most 32",
+    )
     p = sub.add_parser(
         "scan", help="analyze a graph6 corpus into JSONL records",
         parents=[cap, odd_cap, scan_args, max_pm],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -131,9 +132,13 @@ def run_scan(
     Lines whose canonical graph6 id already appears in the output are
     skipped; an unterminated last output line is dropped and its graph
     analyzed again.  Per-graph failures become error records and never
-    abort the scan.  Each record is written and flushed as soon as it and
-    every record before it are done, in input order, also with jobs > 1,
-    which runs up to ``jobs`` worker processes but never more than graphs.
+    abort the scan.  Records come out in input order.  With jobs = 1 each
+    record is written and flushed as soon as it is done.  With jobs > 1 up
+    to ``jobs`` worker processes run, never more than graphs, and the
+    graphs go to them in batches of ceil(graphs / (4 * workers)), at most
+    32; each batch is written and flushed once it and every batch before it
+    are done, so an interrupted run loses only its unwritten batches, which
+    a resume analyzes again.
     A ``timeout_s`` of 0, None or inf means no time limit.  Bad parameters
     (NaN among them) raise ValueError before the output is opened.
     """
@@ -181,7 +186,11 @@ def run_scan(
         if workers > 1:
             pool = ProcessPoolExecutor(max_workers=workers)
             stack.callback(pool.shutdown, cancel_futures=True)
-            records = pool.map(_scan_one, payloads)
+            # batches of one graph spend as long in hand-offs as in analysis;
+            # 4 batches per worker (multiprocessing.Pool's default) balance
+            # the load, and the cap of 32 bounds what a batch holds back
+            chunksize = min(32, math.ceil(len(payloads) / (4 * workers)))
+            records = pool.map(_scan_one, payloads, chunksize=chunksize)
         for record in records:
             fh.write(record.to_json() + "\n")
             fh.flush()

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -214,14 +215,27 @@ def test_scan_error_lines_do_not_abort(tmp_path):
     assert records[1].status == "ok"
 
 
+def small_corpus_lines(count):
+    """graph6 lines of scan-small's graphs: n cycling over 10, 12, 14, 16."""
+    return [to_graph6(random_bridgeless_cubic(10 + 2 * (i % 4), i)) for i in range(count)]
+
+
+def record_ids(path):
+    return [ScanRecord.from_json(line).graph_id for line in path.read_text().splitlines()]
+
+
 def test_scan_parallel_jobs_match_serial(tmp_path):
+    lines = small_corpus_lines(40)
+    lines[10:10] = ["!!notgraph6!!"]
+    lines[25:25] = [BRIDGED, lines[3]]  # lines[3] repeats an earlier graph
     corpus = tmp_path / "corpus.g6"
-    lines = [to_graph6(prism(k)) for k in (3, 4, 5, 6)]
     corpus.write_text("\n".join(lines) + "\n")
     serial = tmp_path / "serial.jsonl"
     parallel = tmp_path / "parallel.jsonl"
-    run_scan(corpus, serial, timeout_s=None, jobs=1)
-    run_scan(corpus, parallel, timeout_s=None, jobs=2)
+    summary = run_scan(corpus, serial, timeout_s=None, jobs=1)
+    # 42 graphs after the repeat: jobs=2 sends 7 batches of ceil(42 / 8) = 6
+    parallel_summary = run_scan(corpus, parallel, timeout_s=None, jobs=2)
+    assert (summary.processed, summary.skipped, summary.errors) == (42, 1, 1)
 
     def strip_timing(path):
         out = []
@@ -231,32 +245,78 @@ def test_scan_parallel_jobs_match_serial(tmp_path):
             out.append(raw)
         return out
 
-    assert strip_timing(serial) == strip_timing(parallel)
+    records = strip_timing(serial)
+    assert records == strip_timing(parallel)
+    assert summary.render() == parallel_summary.render()
+    assert [r["metrics"].get("bridges") for r in records].count(1) == 1
 
 
 @pytest.mark.parametrize(
-    "graphs,jobs,pools", [(2, 64, [2]), (1, 8, []), (3, 1, [])],
-    ids=["two-graphs-64-jobs", "one-graph-8-jobs", "three-graphs-1-job"],
+    "graphs,jobs,pools,chunks",
+    [(2, 64, [2], [1]), (1, 8, [], []), (3, 1, [], []), (40, 3, [3], [4]),
+     (300, 2, [2], [32])],
+    ids=["two-graphs-64-jobs", "one-graph-8-jobs", "three-graphs-1-job",
+         "forty-graphs-3-jobs", "three-hundred-graphs-2-jobs"],
 )
-def test_scan_starts_no_more_workers_than_graphs(tmp_path, monkeypatch, graphs, jobs, pools):
-    made = []
+def test_scan_starts_no_more_workers_than_graphs(
+    tmp_path, monkeypatch, graphs, jobs, pools, chunks
+):
+    made, chunksizes = [], []
 
     class InProcessPool:
         def __init__(self, max_workers):
             made.append(max_workers)
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            chunksizes.append(chunksize)
             return map(fn, items)
 
         def shutdown(self, cancel_futures=False):
             pass
 
     monkeypatch.setattr(pmcover.scan, "ProcessPoolExecutor", InProcessPool)
+    # the pool and its batches are under test, not the analysis
+    monkeypatch.setattr(
+        pmcover.scan, "_scan_one", lambda payload: ScanRecord(payload[0], {}, "ok", 0)
+    )
     corpus = tmp_path / "corpus.g6"
-    corpus.write_text("".join(to_graph6(prism(k)) + "\n" for k in range(3, 3 + graphs)))
+    corpus.write_text("".join(line + "\n" for line in small_corpus_lines(graphs)))
     summary = run_scan(corpus, tmp_path / "out.jsonl", timeout_s=None, jobs=jobs)
     assert summary.processed == graphs
     assert made == pools
+    # batches of ceil(graphs / (4 * workers)), at most 32: 40 graphs on 3
+    # workers go in batches of 4, 300 on 2 in batches of 32, not 38
+    assert chunksizes == chunks
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only forked workers inherit the patched analyze_graph",
+)
+def test_scan_interrupted_in_a_worker_keeps_whole_batches(tmp_path, monkeypatch):
+    ids = small_corpus_lines(40)
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("".join(gid + "\n" for gid in ids))
+    out_file = tmp_path / "r.jsonl"
+    real = pmcover.scan.analyze_graph
+
+    def fails_on_the_middle_graph(g, **kwargs):
+        if to_graph6(g) == ids[20]:
+            raise RuntimeError("analysis failed")
+        return real(g, **kwargs)
+
+    # patched before the pool forks its workers, which inherit it
+    monkeypatch.setattr(pmcover.scan, "analyze_graph", fails_on_the_middle_graph)
+    with pytest.raises(RuntimeError, match="analysis failed"):
+        run_scan(corpus, out_file, timeout_s=None, jobs=2)
+    assert out_file.read_text().endswith("\n")
+    # batches of ceil(40 / 8) = 5: the four before the failing one are written
+    assert record_ids(out_file) == ids[:20]
+
+    monkeypatch.setattr(pmcover.scan, "analyze_graph", real)
+    summary = run_scan(corpus, out_file, timeout_s=None, jobs=2)
+    assert summary.processed == 20 and summary.skipped == 20
+    assert record_ids(out_file) == ids
 
 
 def test_scan_cli_command(tmp_path, capsys):
