@@ -31,25 +31,6 @@ PETERSEN_EDGES = (
     (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
 )
 
-# The two 18-vertex snarks, assembled from a Petersen graph with two deleted
-# adjacent vertices (an 8-vertex block) joined cyclically to a Petersen graph
-# with two deleted disjoint edges (a 10-vertex block).  Deleting edges at
-# distance 2 gives the variant with 8 automorphisms (#1), distance 1 the one
-# with 4 automorphisms (#2).
-BLANUSA1_EDGES = (
-    (0, 4), (0, 5), (0, 10), (1, 2), (1, 6), (1, 14), (2, 3), (2, 7), (3, 4),
-    (3, 12), (4, 9), (5, 7), (5, 8), (6, 8), (6, 9), (7, 9), (8, 13), (10, 11),
-    (10, 15), (11, 12), (11, 16), (12, 17), (13, 15), (13, 16), (14, 16),
-    (14, 17), (15, 17),
-)
-BLANUSA2_EDGES = (
-    (0, 4), (0, 5), (0, 10), (1, 2), (1, 6), (1, 14), (2, 7), (2, 12), (3, 4),
-    (3, 8), (3, 13), (4, 9), (5, 7), (5, 8), (6, 8), (6, 9), (7, 9), (10, 11),
-    (10, 15), (11, 12), (11, 16), (12, 17), (13, 15), (13, 16), (14, 16),
-    (14, 17), (15, 17),
-)
-
-
 def petersen() -> CubicGraph:
     """Petersen graph: outer 5-cycle 0-4, spokes i-(i+5), inner pentagram."""
     return CubicGraph(10, PETERSEN_EDGES)
@@ -73,18 +54,14 @@ def prism(n: int) -> CubicGraph:
     """Two n-cycles 0..n-1 and n..2n-1 joined by spokes i-(n+i)."""
     if n < 3:
         raise InvalidParams("prism needs n >= 3")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges += [(n + i, n + (i + 1) % n) for i in range(n)]
-    edges += [(i, n + i) for i in range(n)]
-    return CubicGraph(2 * n, edges)
+    return permutation_graph(list(range(n)))
 
 
 def blanusa(which: int) -> CubicGraph:
-    if which == 1:
-        return CubicGraph(18, BLANUSA1_EDGES)
-    if which == 2:
-        return CubicGraph(18, BLANUSA2_EDGES)
-    raise InvalidParams("Blanusa snark index must be 1 or 2")
+    """The 18-vertex Blanusa snarks, ``generalized_blanusa(which, 1)``."""
+    if which not in (1, 2):
+        raise InvalidParams("Blanusa snark index must be 1 or 2")
+    return generalized_blanusa(which, 1)
 
 
 def _require_odd(k: int) -> None:

@@ -3,6 +3,10 @@
 Bit-exact with the published format: optional ``>>graph6<<`` header, 63-offset
 printable bytes, upper-triangle column-major bit order.  Only simple graphs
 are representable, so multigraphs refuse to encode.
+
+In that order the pair (i, j) with i < j is bit j(j-1)/2 + i of one bit
+string, so each edge's bit is set or read directly and both directions take
+time linear in the line length.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from .errors import MalformedGraph6, NotSimple
 from .graphs import CubicGraph
 
 _HEADER = ">>graph6<<"
+# each data character, '?'..'~', as the 6 bits it carries
+_SIX_BITS = {63 + k: format(k, "06b") for k in range(64)}
 
 
 def _decode_size(data: str) -> tuple[int, str]:
@@ -82,17 +88,15 @@ def parse_graph6(text: str) -> CubicGraph:
         raise MalformedGraph6(
             f"expected {expected} data bytes for n={n}, got {len(rest)}"
         )
-    bits = 0
-    for ch in rest:
-        bits = (bits << 6) | (ord(ch) - 63)
-    bits >>= len(rest) * 6 - nbits  # drop padding
+    # column j holds pairs (0, j)..(j-1, j); the padding bits are never read
+    bits = rest.translate(_SIX_BITS)
     edges = []
-    pos = nbits
     for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if (bits >> pos) & 1:
-                edges.append((i, j))
+        start = j * (j - 1) // 2
+        i = bits.find("1", start, start + j)
+        while i >= 0:
+            edges.append((i - start, j))
+            i = bits.find("1", i + 1, start + j)
     return CubicGraph(n, edges)
 
 
@@ -101,20 +105,14 @@ def to_graph6(g: CubicGraph) -> str:
     if not g.is_simple():
         raise NotSimple("graph6 cannot encode parallel edges")
     n = g.n
-    adj = g.adjacency_counts()
-    bits = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            bits = (bits << 1) | (1 if adj[i][j] else 0)
-            nbits += 1
-    pad = (-nbits) % 6
-    bits <<= pad
-    nbits += pad
-    chars = []
-    for k in range(nbits - 6, -1, -6):
-        chars.append(chr(((bits >> k) & 63) + 63))
-    return _encode_size(n) + "".join(chars)
+    size = _encode_size(n)
+    nbits = n * (n - 1) // 2
+    bits = bytearray(b"0" * (nbits + (-nbits) % 6))
+    for i, j in g.edges:  # i < j
+        bits[j * (j - 1) // 2 + i] = 49  # "1"
+    return size + "".join(
+        chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6)
+    )
 
 
 def iter_graph6_file(path: str | Path) -> Iterator[str]:

@@ -89,11 +89,11 @@ class ScanSummary:
 
 
 def _scan_one(payload: tuple[str, int, int, float | None, int | None]) -> ScanRecord:
+    # line is the graph's canonical id, or a line that failed to parse
     line, cap, odd_cap, timeout_s, max_matchings = payload
     start = time.monotonic()
     try:
         g = parse_graph6(line)
-        gid = to_graph6(g)
     except GraphError as exc:
         ms = int((time.monotonic() - start) * 1000)
         return ScanRecord(line, {}, "error", ms, str(exc))
@@ -107,7 +107,7 @@ def _scan_one(payload: tuple[str, int, int, float | None, int | None]) -> ScanRe
     except TooManyMatchings as exc:
         metrics, status, error = {}, "error", str(exc)
     ms = int((time.monotonic() - start) * 1000)
-    return ScanRecord(gid, metrics, status, ms, error)
+    return ScanRecord(line, metrics, status, ms, error)
 
 
 def _tau_at_least_5(record: ScanRecord, cap: int) -> bool:
@@ -129,9 +129,13 @@ def run_scan(
 ) -> ScanSummary:
     """Analyze every graph6 line, appending JSONL records; resumable.
 
-    Lines whose canonical graph6 id already appears in the output are
-    skipped; an unterminated last output line is dropped and its graph
-    analyzed again.  Per-graph failures become error records and never
+    A line's id is its canonical graph6 line, computed once, here, before
+    any worker starts: the pair (i, j), i < j, is bit j(j-1)/2 + i of its bit
+    string, so parsing and encoding are linear in the line length.  The
+    workers get the ids, and an unparsable line goes to them unchanged and
+    fails there.  Lines whose id already appears in the output are skipped;
+    an unterminated last output line is dropped and its graph analyzed
+    again.  Per-graph failures become error records and never
     abort the scan.  Records come out in input order.  With jobs = 1 each
     record is written and flushed as soon as it is done.  With jobs > 1 up
     to ``jobs`` worker processes run, never more than graphs, and the
@@ -176,7 +180,7 @@ def run_scan(
             summary.skipped += 1
             continue
         done.add(gid)
-        pending.append(line)
+        pending.append(gid)
 
     payloads = [(line, cap, odd_cap, timeout_s, max_matchings) for line in pending]
     # a pool forks all its workers at the first submit: no more than graphs

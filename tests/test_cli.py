@@ -172,6 +172,23 @@ def test_scan_and_resume(tmp_path, capsys):
     assert len(out_file.read_text().splitlines()) == 2
 
 
+def test_scan_records_a_non_canonical_line_by_its_canonical_id(tmp_path):
+    canonical = to_graph6(prism(4))  # n = 8: 28 pair bits, 2 padding bits
+    padded = canonical[:-1] + chr(63 + ((ord(canonical[-1]) - 63) | 3))
+    assert padded != canonical and parse_graph6(padded) == prism(4)
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(padded + "\n" + canonical + "\n")
+    out_file = tmp_path / "records.jsonl"
+    summary = run_scan(corpus, out_file, timeout_s=None)
+    assert (summary.processed, summary.skipped) == (1, 1)
+    assert record_ids(out_file) == [canonical]
+
+    corpus.write_text(padded + "\n")
+    again = run_scan(corpus, out_file, timeout_s=None)
+    assert (again.processed, again.skipped) == (0, 1)
+    assert record_ids(out_file) == [canonical]
+
+
 def test_scan_knows_a_relabelled_petersen(tmp_path):
     perm = [3, 8, 0, 6, 1, 9, 4, 2, 7, 5]
     g = CubicGraph(10, [(perm[u], perm[v]) for u, v in petersen().edges])
